@@ -21,11 +21,11 @@ is removed and only the software redundancy is optimized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
+from repro.core.decision import RedundancyDecision
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
@@ -37,25 +37,6 @@ from repro.engine.fingerprint import (
     mapping_fingerprint,
 )
 from repro.scheduling.list_scheduler import ListScheduler
-from repro.scheduling.schedule import Schedule
-
-
-@dataclass(frozen=True)
-class RedundancyDecision:
-    """Hardening levels + re-executions + resulting schedule for one mapping."""
-
-    hardening: Dict[str, int]
-    reexecutions: Dict[str, int]
-    schedule: Schedule
-    cost: float
-    schedule_length: float
-    meets_deadline: bool
-    meets_reliability: bool
-
-    @property
-    def is_feasible(self) -> bool:
-        """Schedulable and reliable — the two hard constraints of the paper."""
-        return self.meets_deadline and self.meets_reliability
 
 
 class _RedundancyEvaluator:

@@ -93,10 +93,14 @@ class MemoCache:
     Entries may be *preloaded* from the persistent design-point store
     (:mod:`repro.engine.store`); hits on preloaded keys are additionally
     counted as ``disk_hits`` so the CLI can report how much work a warm
-    start actually saved.
+    start actually saved.  ``new_entries`` counts the entries stored since
+    the table was last persisted, so the store can skip writing a table
+    that only holds what it preloaded.
     """
 
-    __slots__ = ("name", "_store", "hits", "misses", "_preloaded", "disk_hits")
+    __slots__ = (
+        "name", "_store", "hits", "misses", "_preloaded", "disk_hits", "new_entries",
+    )
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -105,6 +109,7 @@ class MemoCache:
         self.misses = 0
         self._preloaded: set[Hashable] = set()
         self.disk_hits = 0
+        self.new_entries = 0
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> Any:
@@ -120,6 +125,7 @@ class MemoCache:
 
     def put(self, key: Hashable, value: Any) -> Any:
         self._store[key] = value
+        self.new_entries += 1
         return value
 
     def memoize(self, key: Hashable, compute: Callable[[], Any]) -> Any:
@@ -195,6 +201,10 @@ class MemoCache:
         """A shallow copy of the current entries (for persisting)."""
         return dict(self._store)
 
+    def mark_persisted(self) -> None:
+        """Every current entry is on disk: reset :attr:`new_entries`."""
+        self.new_entries = 0
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._store)
@@ -206,6 +216,7 @@ class MemoCache:
         """Drop all entries (counters are kept — they describe history)."""
         self._store.clear()
         self._preloaded.clear()
+        self.new_entries = 0
 
     @property
     def stats(self) -> CacheStats:

@@ -2,45 +2,62 @@
 
 The in-memory :class:`~repro.engine.engine.EvaluationEngine` dies with the
 process, so every CLI invocation of the same sweep used to recompute every
-design point from scratch.  The store persists an engine's memo tables to
-disk, keyed by the **stable** content hash of the bound
-``(application, profile)`` context (:func:`stable_context_fingerprint` —
-``PYTHONHASHSEED``-independent, unlike the in-memory fingerprint), so a
-second run of the same sweep starts warm.
+design point from scratch.  The store persists an engine's
+``optimizations`` memo table to disk, keyed by the **stable** content hash
+of the bound ``(application, profile)`` context
+(:func:`stable_context_fingerprint` — ``PYTHONHASHSEED``-independent,
+unlike the in-memory fingerprint), so a second run of the same sweep
+starts warm.
 
 Layout and lifecycle:
 
-* One pickle file per context, named
-  ``<sha256(salt | context)> .pkl`` under the store directory.  The salt
-  folds in :data:`STORE_SCHEMA_VERSION` and the package version: any code
-  change that could alter results makes old files unreachable (stale caches
-  are *not found* rather than migrated — design points are cheap to recompute
-  relative to the cost of a wrong hit).
-* :meth:`DesignPointStore.warm` preloads a file's entries into an engine
-  (marking them for ``disk_hits`` accounting); :meth:`DesignPointStore.persist`
-  merges the engine's tables back (read-modify-write with an atomic
-  ``os.replace``, so concurrent workers at worst lose entries, never corrupt
-  files).
-* A size cap is enforced after every persist: least-recently-used files
-  (by mtime — ``warm`` touches files it reads) are evicted until the store
+* One file per context, named ``<sha256(salt | context)>.dps`` under the
+  store directory.  The salt folds in :data:`STORE_SCHEMA_VERSION` and the
+  package version: any code change that could alter results makes old
+  files unreachable (stale caches are *not found* rather than migrated —
+  design points are cheap to recompute relative to the cost of a wrong
+  hit).  Files of older schemas (``*.pkl``) are deleted when a store is
+  opened.
+* Only the ``optimizations`` table is persisted: over warm re-runs of
+  Fig. 6a–6d, and over cold-X → warm-Y pairs of them, every disk hit came
+  from it (PERFORMANCE.md has the per-table counts), while the other four
+  tables held most of the entries and bytes and served none.
+* :meth:`DesignPointStore.warm` reads a file once and preloads its entries
+  into an engine (marking them for ``disk_hits`` accounting), remembering
+  the file's ``(st_mtime_ns, st_size)``.  :meth:`DesignPointStore.persist`
+  writes only when the engine computed entries beyond the preloaded ones,
+  and merges against what ``warm`` loaded, re-reading the file only when
+  it changed since (a concurrent writer).  Writes go through an atomic
+  ``os.replace``, so concurrent workers at worst lose entries, never
+  corrupt files.
+* A size cap is enforced after every write: least-recently-used files (by
+  mtime — ``warm`` touches files it reads) are evicted until the store
   fits.  The file just written is never evicted.
 
-Pickle is appropriate here: the store is a local cache written and read only
-by this package; it is not an interchange format and never loads data the
-user did not put there.
+File format: one line with the sha256 hex digest of the body, then the
+body — UTF-8 JSON holding the schema version, the salt, the context key and
+the table section of :mod:`repro.engine.codec`.  Decoding builds only
+plain data and the decision/schedule types, so a file can never run code.
+A checksum, salt, context-key, shape or type mismatch makes the file "not
+cached": it is removed and its points are recomputed.  The checksum guards
+against torn and corrupted files, not against a forger with write access
+to the directory, who can still plant a well-formed wrong entry.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import tempfile
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple, TYPE_CHECKING
+
+from repro.engine.codec import decode_table, encode_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import EvaluationEngine
@@ -49,13 +66,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: result contract; old store files become unreachable (never migrated).
 #: 2: fingerprints moved from repr()-based hashing to the type-tagged
 #: canonical byte encoding (R001), renaming every context key.
-STORE_SCHEMA_VERSION = 2
+#: 3: pickle replaced by the checksummed JSON codec; only the
+#: ``optimizations`` table is persisted.
+STORE_SCHEMA_VERSION = 3
+
+#: File name suffix of a persisted context.
+STORE_SUFFIX = ".dps"
+
+#: Suffix of the pickle files older schemas wrote (deleted on sight).
+LEGACY_SUFFIX = ".pkl"
 
 #: Default size cap of a store directory (bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Engine attribute name per persisted memo table.
-PERSISTED_CACHES = ("decisions", "optimizations", "exceedance", "no_fault", "system")
+PERSISTED_CACHES = ("optimizations",)
+
+#: ``(st_mtime_ns, st_size)`` of a store file as last read or written.
+Stamp = Tuple[int, int]
+
+#: Marks an engine this store handle has neither warmed nor persisted.
+_UNSEEN = object()
 
 
 def code_version_salt() -> str:
@@ -108,7 +139,12 @@ class DesignPointStore:
         self.max_bytes = max_bytes
         self.salt = salt if salt is not None else code_version_salt()
         self.stats = StoreStats()
-        self._sweep_stale_temp_files()
+        #: File stamp per engine as of its last warm or persist (``None``:
+        #: no file then); an engine missing here was never seen.
+        self._seen: "weakref.WeakKeyDictionary[EvaluationEngine, Optional[Stamp]]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._sweep_orphans()
 
     # ------------------------------------------------------------------
     def context_key(self, engine: "EvaluationEngine") -> str:
@@ -118,7 +154,10 @@ class DesignPointStore:
         ).hexdigest()
 
     def path_for(self, engine: "EvaluationEngine") -> Path:
-        return self.directory / f"{self.context_key(engine)}.pkl"
+        return self._path(self.context_key(engine))
+
+    def _path(self, context: str) -> Path:
+        return self.directory / f"{context}{STORE_SUFFIX}"
 
     # ------------------------------------------------------------------
     def warm(self, engine: "EvaluationEngine") -> int:
@@ -128,53 +167,49 @@ class DesignPointStore:
         a cache must never turn a corrupt byte into a wrong answer or a
         crash.
         """
-        path = self.path_for(engine)
-        payload = self._read(path)
-        if payload is None:
+        context = self.context_key(engine)
+        tables, stamp = self._read(self._path(context), context, touch=True)
+        self._seen[engine] = stamp
+        if tables is None:
             return 0
         loaded = 0
-        for attribute in PERSISTED_CACHES:
-            entries = payload["caches"].get(attribute)
-            if entries:
-                loaded += getattr(engine, attribute).load(entries)
-        # Mark the file recently used so LRU eviction favours cold contexts.
-        # The file may have been evicted by a concurrent process since we
-        # read it — losing the touch is fine, crashing the sweep is not.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+        for attribute, entries in tables.items():
+            loaded += getattr(engine, attribute).load(entries)
         self.stats.files_loaded += 1
         self.stats.entries_loaded += loaded
         return loaded
 
     def persist(self, engine: "EvaluationEngine") -> int:
-        """Merge the engine's memo tables into the context's store file.
+        """Write the engine's persisted tables if they gained entries.
 
-        Read-modify-write: entries already on disk are kept (union with the
-        engine's, engine wins ties — the values are bit-identical anyway),
-        the file is replaced atomically, and the store size cap is enforced
+        Returns 0 without touching the disk when no table holds an entry
+        beyond those :meth:`warm` preloaded.  Otherwise the engine's
+        entries are merged with the file's (engine wins ties — the values
+        are bit-identical anyway): the entries ``warm`` loaded are already
+        in the engine, so the file is read again only if it changed since
+        ``warm`` (a concurrent writer) or this handle never warmed the
+        engine.  The file is replaced atomically and the size cap enforced
         afterwards.  Returns the number of entries written.
         """
-        path = self.path_for(engine)
-        existing = self._read(path)
-        caches: Dict[str, Dict[object, object]] = {}
-        total = 0
-        for attribute in PERSISTED_CACHES:
-            merged: Dict[object, object] = {}
-            if existing is not None:
-                merged.update(existing["caches"].get(attribute, {}))
-            merged.update(getattr(engine, attribute).snapshot())
-            caches[attribute] = merged
-            total += len(merged)
-        if total == 0:
+        caches = [getattr(engine, attribute) for attribute in PERSISTED_CACHES]
+        if not any(cache.new_entries for cache in caches):
             return 0
-        payload = {
-            "salt": self.salt,
-            "context": self.context_key(engine),
-            "caches": caches,
+        context = self.context_key(engine)
+        path = self._path(context)
+        tables: Dict[str, Dict[Hashable, Any]] = {
+            attribute: cache.snapshot()
+            for attribute, cache in zip(PERSISTED_CACHES, caches)
         }
-        self._write_atomic(path, payload)
+        seen = self._seen.get(engine, _UNSEEN)
+        if seen is _UNSEEN or seen != _stamp_of(path):
+            on_disk, _ = self._read(path, context)
+            if on_disk is not None:
+                for attribute, entries in on_disk.items():
+                    tables[attribute] = {**entries, **tables[attribute]}
+        data, total = self._encode(context, tables)
+        self._seen[engine] = self._write_atomic(path, data)
+        for cache in caches:
+            cache.mark_persisted()
         self.stats.files_persisted += 1
         self.stats.entries_persisted += total
         self._enforce_cap(keep=path)
@@ -273,7 +308,7 @@ class DesignPointStore:
         """
         files = 0
         total = 0
-        for path in self.directory.glob("*.pkl"):
+        for path in self.directory.glob(f"*{STORE_SUFFIX}"):
             try:
                 total += path.stat().st_size
             except OSError:
@@ -282,39 +317,99 @@ class DesignPointStore:
         return {"files": files, "bytes": total, "max_bytes": self.max_bytes}
 
     # ------------------------------------------------------------------
-    def _read(self, path: Path) -> Optional[Dict[str, object]]:
+    # file format
+    # ------------------------------------------------------------------
+    def _encode(
+        self, context: str, tables: Dict[str, Dict[Hashable, Any]]
+    ) -> Tuple[bytes, int]:
+        """File bytes for ``tables`` and the number of entries they hold."""
+        sections: Dict[str, Any] = {}
+        total = 0
+        for attribute, entries in tables.items():
+            sections[attribute], count = encode_table(entries)
+            total += count
+        body = json.dumps(
+            {
+                "schema": STORE_SCHEMA_VERSION,
+                "salt": self.salt,
+                "context": context,
+                "caches": sections,
+            },
+            separators=(",", ":"),
+            check_circular=False,  # the codec builds trees, never cycles
+        ).encode("utf-8")
+        return sha256(body).hexdigest().encode("ascii") + b"\n" + body, total
+
+    def _decode(self, data: bytes, context: str) -> Dict[str, Dict[Hashable, Any]]:
+        """Tables of a file's bytes; raises ``ValueError`` on any mismatch."""
+        digest, _, body = data.partition(b"\n")
+        if digest != sha256(body).hexdigest().encode("ascii"):
+            raise ValueError("checksum mismatch")
+        payload = json.loads(body)
+        if (
+            type(payload) is not dict
+            or set(payload) != {"schema", "salt", "context", "caches"}
+            or payload["schema"] != STORE_SCHEMA_VERSION
+            or payload["salt"] != self.salt
+            or payload["context"] != context
+            or type(payload["caches"]) is not dict
+            or set(payload["caches"]) != set(PERSISTED_CACHES)
+        ):
+            raise ValueError("not a store file of this schema, salt and context")
+        return {
+            attribute: decode_table(section)
+            for attribute, section in payload["caches"].items()
+        }
+
+    # ------------------------------------------------------------------
+    def _read(
+        self, path: Path, context: str, touch: bool = False
+    ) -> Tuple[Optional[Dict[str, Dict[Hashable, Any]]], Optional[Stamp]]:
+        """Decoded tables of ``path`` and the stamp of the bytes read.
+
+        ``touch`` marks the file recently used, so LRU eviction favours
+        cold contexts.  The touch and the stamp go through the open
+        descriptor: a file replaced or evicted by a concurrent process
+        meanwhile neither crashes the read nor lends it a stamp whose
+        content was never loaded.
+        """
         try:
             with path.open("rb") as handle:
-                payload = pickle.load(handle)
+                data = handle.read()
+                if touch:
+                    try:
+                        os.utime(handle.fileno())
+                    except OSError:
+                        pass  # read-only store: lose the LRU touch, keep the data
+                stamp = _stamp(os.fstat(handle.fileno()))
         except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated write, foreign file, unpicklable after a refactor ...
-            # a cache treats all of these as "not cached".
+            return None, None
+        except OSError:
+            data, stamp = b"", None
+        try:
+            return self._decode(data, context), stamp
+        except (ValueError, TypeError, RecursionError):
+            # Torn write, flipped bit, foreign or older-schema file, forged
+            # shape or nesting ... a cache treats all of these as "not cached".
             self.stats.invalid_files += 1
             self._discard(path)
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("salt") != self.salt
-            or not isinstance(payload.get("caches"), dict)
-        ):
-            self.stats.invalid_files += 1
-            self._discard(path)
-            return None
-        return payload
+            return None, None
 
-    def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
+    def _write_atomic(self, path: Path, data: bytes) -> Stamp:
+        """Replace ``path`` with ``data``; returns the written file's stamp."""
         handle, temp_name = tempfile.mkstemp(
             dir=self.directory, prefix=path.stem, suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "wb") as stream:
-                pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
+                stream.write(data)
+                stream.flush()
+                stamp = _stamp(os.fstat(stream.fileno()))
             os.replace(temp_name, path)
         except BaseException:
             self._discard(Path(temp_name))
             raise
+        return stamp
 
     def _discard(self, path: Path) -> None:
         try:
@@ -322,19 +417,27 @@ class DesignPointStore:
         except OSError:
             pass
 
-    def _sweep_stale_temp_files(self) -> None:
-        """Remove ``*.tmp`` orphans left by writers that died mid-write.
+    def _sweep_orphans(self) -> None:
+        """Remove older-schema files and stale ``*.tmp`` orphans.
 
-        A live ``_write_atomic`` temp file exists for milliseconds; anything
-        older than an hour is an orphan from a killed process.  Run once per
-        store construction so long-lived directories stay clean even when
-        they never exceed the size cap.
+        ``*.pkl`` files were written by schema 2 and earlier; no salt
+        reaches them any more, so they would sit outside the size cap
+        forever.  A live ``_write_atomic`` temp file exists for
+        milliseconds; one older than an hour is an orphan from a killed
+        process.  Run once per store construction so long-lived directories
+        stay clean even when they never exceed the size cap.
         """
         cutoff = time.time() - 3600.0
-        for path in self.directory.glob("*.tmp"):
+        try:
+            entries = list(os.scandir(self.directory))
+        except OSError:
+            return
+        for entry in entries:
             try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
+                if entry.name.endswith(LEGACY_SUFFIX) or (
+                    entry.name.endswith(".tmp") and entry.stat().st_mtime < cutoff
+                ):
+                    os.unlink(entry.path)
             except OSError:
                 continue
 
@@ -349,7 +452,7 @@ class DesignPointStore:
         """
         files = []
         total = 0
-        for pattern in ("*.pkl", "*.tmp"):
+        for pattern in (f"*{STORE_SUFFIX}", "*.tmp"):
             for path in self.directory.glob(pattern):
                 try:
                     stat = path.stat()
@@ -368,3 +471,15 @@ class DesignPointStore:
             self._discard(path)
             self.stats.evicted_files += 1
             total -= size
+
+
+def _stamp(stat: os.stat_result) -> Stamp:
+    return (stat.st_mtime_ns, stat.st_size)
+
+
+def _stamp_of(path: Path) -> Optional[Stamp]:
+    """Current stamp of ``path``; ``None`` when there is no file."""
+    try:
+        return _stamp(path.stat())
+    except OSError:
+        return None

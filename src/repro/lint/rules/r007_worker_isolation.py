@@ -55,7 +55,7 @@ WORKER_GUARDS: Tuple[GuardSpec, ...] = (
         attrs=frozenset({"stats"}),
         mutators=frozenset(
             {"__init__", "warm", "persist", "_read", "_write_atomic",
-             "_discard", "_sweep_stale_temp_files", "_enforce_cap"}
+             "_discard", "_sweep_orphans", "_enforce_cap"}
         ),
     ),
 )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.registry import list_scenarios
@@ -228,7 +229,13 @@ def _is_terminal(line: bytes) -> bool:
 
 
 def run_server(config: ServeConfig) -> int:
-    """Blocking CLI entry: serve until interrupted; returns an exit code."""
+    """Blocking CLI entry: serve until SIGINT or SIGTERM; returns an exit code.
+
+    SIGTERM is handled like SIGINT: it cancels the serving task, whose
+    cleanup shuts the worker pool down.  At its default action SIGTERM
+    would kill only this process and leave the pool workers running,
+    re-parented to init and still holding the inherited listening socket.
+    """
     app = ServeApp(config)
 
     def announce(host: str, port: int) -> None:
@@ -240,8 +247,17 @@ def run_server(config: ServeConfig) -> int:
             flush=True,
         )
 
+    async def serve() -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            try:
+                asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, task.cancel)
+            except NotImplementedError:  # pragma: no cover - no POSIX signals
+                pass
+        await app.run(ready=announce)
+
     try:
-        asyncio.run(app.run(ready=announce))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0

@@ -150,3 +150,31 @@ def uniform_profile_for(
                 probability = failure_probability / (hardening_reduction ** (level - 1))
                 profile.add_entry(process.name, node_type.name, level, wcet, probability)
     return profile
+
+
+#: Process-to-node assignments of the Fig. 1 application (P1..P4); the
+#: first two admit no feasible redundancy decision (a cached ``None``).
+FIG1_MAPPINGS = (
+    ("N1", "N1", "N1", "N1"),
+    ("N1", "N1", "N1", "N2"),
+    ("N1", "N1", "N2", "N1"),
+    ("N1", "N2", "N1", "N2"),
+    ("N1", "N2", "N2", "N1"),
+    ("N2", "N1", "N2", "N2"),
+)
+
+
+def fig1_optimize(engine, nodes):
+    """One redundancy-optimizer run on the Fig. 1 platform through ``engine``.
+
+    Each distinct ``nodes`` assignment adds one ``optimizations`` memo
+    entry (a real :class:`RedundancyDecision` with a schedule, or ``None``).
+    """
+    from repro.core.redundancy import RedundancyOpt
+
+    n1, n2 = fig1_node_types()
+    architecture = Architecture([Node("N1", n1), Node("N2", n2)])
+    mapping = ProcessMapping(dict(zip(("P1", "P2", "P3", "P4"), nodes)))
+    return RedundancyOpt(engine=engine).optimize(
+        engine.application, architecture, mapping, engine.profile
+    )

@@ -16,6 +16,8 @@ from repro.kernels import (
     active_sched_kernel,
 )
 
+from tests.conftest import FIG1_MAPPINGS, fig1_optimize
+
 
 @pytest.fixture(autouse=True)
 def _no_env(monkeypatch):
@@ -85,11 +87,12 @@ class TestOwnedResources:
         engine = session.engine(application, profile)
         assert engine.matches(application, profile)
         # Persist a warm engine; a second session must reload its entries.
-        engine.exceedance.memoize(("probe", 1, 12), lambda: 0.5)
+        decision = fig1_optimize(engine, FIG1_MAPPINGS[2])
         session.persist(engine)
         second = Session(RunConfig(cache_dir=tmp_path / "store"))
         warmed = second.engine(application, profile)
-        assert warmed.exceedance.memoize(("probe", 1, 12), lambda: 0.0) == 0.5
+        assert fig1_optimize(warmed, FIG1_MAPPINGS[2]) == decision
+        assert warmed.disk_hits == 1
 
     def test_experiment_is_shared_within_a_session(self):
         session = Session(RunConfig(preset="smoke"))

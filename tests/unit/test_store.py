@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core.reexecution import ReExecutionOpt
-from repro.core.sfp import SFPAnalysis
+from repro import api
 from repro.engine import (
     DesignPointStore,
     EvaluationEngine,
     stable_context_fingerprint,
 )
-from repro.engine.store import code_version_salt
+from repro.engine.store import STORE_SUFFIX, code_version_salt
 from repro.experiments.motivational import fig1_application, fig1_profile
 
+from tests.conftest import FIG1_MAPPINGS, fig1_optimize
+
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+MAPPINGS = FIG1_MAPPINGS
+_optimize = fig1_optimize
 
 
 @pytest.fixture
@@ -28,14 +33,11 @@ def context():
     return fig1_application(), fig1_profile()
 
 
-def _engine_with_entries(context) -> EvaluationEngine:
-    """A fresh engine with a few real memo entries in every SFP table."""
-    application, profile = context
-    engine = EvaluationEngine(application, profile)
-    engine.node_no_fault((1.2e-5, 1.3e-5), 11)
-    engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    engine.node_exceedance((1.2e-5, 1.3e-5), 2, 11)
-    engine.system_failure((1e-9, 2e-9), 11)
+def _engine_with_entries(context, mappings=MAPPINGS[:4]) -> EvaluationEngine:
+    """A fresh engine with real ``optimizations`` entries (``None`` included)."""
+    engine = EvaluationEngine(*context)
+    for nodes in mappings:
+        _optimize(engine, nodes)
     return engine
 
 
@@ -43,131 +45,215 @@ def _engine_with_entries(context) -> EvaluationEngine:
 # warm / persist round trips
 # ----------------------------------------------------------------------
 def test_round_trip_restores_entries_and_counts_disk_hits(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path)
     first = _engine_with_entries(context)
-    assert store.persist(first) > 0
+    assert store.persist(first) == len(first.optimizations) == 4
 
-    second = EvaluationEngine(application, profile)
+    second = EvaluationEngine(*context)
     loaded = DesignPointStore(tmp_path).warm(second)
-    assert loaded == len(first.exceedance) + len(first.no_fault) + len(first.system)
+    assert loaded == len(first.optimizations)
     assert second.disk_hits == 0
 
     # Preloaded entries must serve (and count) hits without recomputation.
-    value = second.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert value == first.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert second.disk_hits == 1
-    assert second.exceedance.stats.misses == 0
+    assert _optimize(second, MAPPINGS[2]) == _optimize(first, MAPPINGS[2])
+    assert _optimize(second, MAPPINGS[0]) is None
+    assert second.disk_hits == 2
+    assert second.optimizations.stats.misses == 0
+    assert second.evaluations == 0
 
 
-def test_round_trip_is_bit_identical_through_the_analysis_layer(tmp_path, context):
-    """A warm engine must drive the full SFP/re-execution stack identically."""
-    application, profile = context
-    from repro.core.architecture import Architecture, Node
-    from repro.core.mapping_model import ProcessMapping
-    from repro.experiments.motivational import fig1_node_types
+def test_only_the_optimizations_table_is_persisted(tmp_path, context):
+    engine = _engine_with_entries(context)
+    assert len(engine.decisions) and len(engine.exceedance) and len(engine.system)
+    DesignPointStore(tmp_path).persist(engine)
 
-    n1, n2 = fig1_node_types()
-    architecture = Architecture([Node("N1", n1, hardening=1), Node("N2", n2, hardening=1)])
-    mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
+    warm = EvaluationEngine(*context)
+    DesignPointStore(tmp_path).warm(warm)
+    assert len(warm.optimizations) == len(engine.optimizations)
+    for cache in (warm.decisions, warm.exceedance, warm.no_fault, warm.system):
+        assert len(cache) == 0
 
-    cold_engine = EvaluationEngine(application, profile)
-    cold = ReExecutionOpt(engine=cold_engine).optimize(
-        application, architecture, mapping, profile
-    )
+
+def test_round_trip_is_bit_identical_through_the_redundancy_layer(tmp_path, context):
+    """A warm engine must drive the full redundancy optimizer identically."""
+    cold_engine = EvaluationEngine(*context)
+    cold = [_optimize(cold_engine, nodes) for nodes in MAPPINGS]
     store = DesignPointStore(tmp_path)
     store.persist(cold_engine)
 
-    warm_engine = EvaluationEngine(application, profile)
+    warm_engine = EvaluationEngine(*context)
     store.warm(warm_engine)
-    warm = ReExecutionOpt(engine=warm_engine).optimize(
-        application, architecture, mapping, profile
-    )
+    warm = [_optimize(warm_engine, nodes) for nodes in MAPPINGS]
     assert warm == cold
-    assert warm_engine.disk_hits > 0
+    for before, after in zip(cold, warm):
+        if before is not None:
+            assert after.schedule.length == before.schedule.length
+            assert after.schedule.processes == before.schedule.processes
+    assert warm_engine.disk_hits == len(MAPPINGS)
+    assert warm_engine.evaluations == 0
 
 
 def test_persist_merges_with_existing_file(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path)
-    first = _engine_with_entries(context)
-    store.persist(first)
+    store.persist(_engine_with_entries(context, MAPPINGS[:2]))
 
-    # A second engine computing a *different* entry must not clobber the
+    # A second engine computing *different* entries must not clobber the
     # first engine's entries on disk.
-    second = EvaluationEngine(application, profile)
-    second.node_exceedance((9e-6,), 3, 11)
-    store.persist(second)
+    store.persist(_engine_with_entries(context, MAPPINGS[2:4]))
 
-    third = EvaluationEngine(application, profile)
-    store.warm(third)
-    assert ((1.2e-5, 1.3e-5), 1, 11) in third.exceedance
-    assert ((9e-6,), 3, 11) in third.exceedance
+    third = EvaluationEngine(*context)
+    assert store.warm(third) == 4
+    for nodes in MAPPINGS[:4]:
+        _optimize(third, nodes)
+    assert third.optimizations.stats.misses == 0
 
 
 def test_empty_engine_persists_nothing(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path)
-    assert store.persist(EvaluationEngine(application, profile)) == 0
-    assert list(tmp_path.glob("*.pkl")) == []
+    assert store.persist(EvaluationEngine(*context)) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# write only when something changed, read each file at most once
+# ----------------------------------------------------------------------
+def test_clean_persist_writes_nothing(tmp_path, context):
+    """A warm run that computes nothing leaves the file byte- and mtime-identical."""
+    store = DesignPointStore(tmp_path)
+    store.persist(_engine_with_entries(context))
+    path = store.path_for(EvaluationEngine(*context))
+    before = path.read_bytes()
+
+    warm = EvaluationEngine(*context)
+    store.warm(warm)
+    mtime = path.stat().st_mtime_ns  # after warm's LRU touch
+    for nodes in MAPPINGS[:4]:
+        _optimize(warm, nodes)
+    assert store.persist(warm) == 0
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == mtime
+    assert store.stats.files_persisted == 1
+
+
+def test_clean_persist_neither_reads_nor_writes(tmp_path, context, monkeypatch):
+    store = DesignPointStore(tmp_path)
+    store.persist(_engine_with_entries(context))
+    warm = EvaluationEngine(*context)
+    store.warm(warm)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a clean persist touched the file")
+
+    monkeypatch.setattr(store, "_read", forbidden)
+    monkeypatch.setattr(store, "_write_atomic", forbidden)
+    assert store.persist(warm) == 0
+
+
+def test_second_persist_of_the_same_engine_writes_only_new_entries(tmp_path, context):
+    store = DesignPointStore(tmp_path)
+    engine = _engine_with_entries(context, MAPPINGS[:2])
+    assert store.persist(engine) == 2
+    assert store.persist(engine) == 0
+    _optimize(engine, MAPPINGS[2])
+    assert store.persist(engine) == 3
+    assert store.stats.files_persisted == 2
+
+
+def test_persist_merges_against_warm_without_rereading(tmp_path, context, monkeypatch):
+    store = DesignPointStore(tmp_path)
+    store.persist(_engine_with_entries(context, MAPPINGS[:2]))
+    engine = EvaluationEngine(*context)
+    store.warm(engine)
+    _optimize(engine, MAPPINGS[2])
+
+    reads = []
+    original = store._read
+    monkeypatch.setattr(store, "_read", lambda *a, **k: reads.append(a) or original(*a, **k))
+    assert store.persist(engine) == 3  # the union, from memory
+    assert reads == []
+
+
+def test_persist_rereads_a_file_changed_since_warm(tmp_path, context, monkeypatch):
+    """A concurrent writer's entries survive: the stamp changed, so re-read."""
+    store = DesignPointStore(tmp_path)
+    store.persist(_engine_with_entries(context, MAPPINGS[:1]))
+    engine = EvaluationEngine(*context)
+    store.warm(engine)
+
+    # Another process (its own store handle) adds entries meanwhile.
+    DesignPointStore(tmp_path).persist(_engine_with_entries(context, MAPPINGS[1:3]))
+
+    _optimize(engine, MAPPINGS[3])
+    reads = []
+    original = store._read
+    monkeypatch.setattr(store, "_read", lambda *a, **k: reads.append(a) or original(*a, **k))
+    assert store.persist(engine) == 4
+    assert len(reads) == 1
+
+    check = EvaluationEngine(*context)
+    assert DesignPointStore(tmp_path).warm(check) == 4
+
+
+def test_persist_reads_when_this_handle_never_warmed_the_engine(tmp_path, context):
+    DesignPointStore(tmp_path).persist(_engine_with_entries(context, MAPPINGS[:2]))
+    other = DesignPointStore(tmp_path)
+    assert other.persist(_engine_with_entries(context, MAPPINGS[2:3])) == 3
 
 
 # ----------------------------------------------------------------------
 # salting / invalidation
 # ----------------------------------------------------------------------
 def test_salt_mismatch_makes_old_files_unreachable(tmp_path, context):
-    application, profile = context
     old = DesignPointStore(tmp_path, salt="code-v1")
     old.persist(_engine_with_entries(context))
 
     new = DesignPointStore(tmp_path, salt="code-v2")
-    engine = EvaluationEngine(application, profile)
+    engine = EvaluationEngine(*context)
     assert new.warm(engine) == 0  # hashed to a different file name
-    assert len(engine.exceedance) == 0
+    assert len(engine.optimizations) == 0
 
 
 def test_default_salt_folds_in_schema_and_version():
     salt = code_version_salt()
-    assert "schema=" in salt and "version=" in salt
+    assert "schema=3" in salt and "version=" in salt
 
 
 def test_corrupt_file_is_ignored_and_removed(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path)
     store.persist(_engine_with_entries(context))
-    path = store.path_for(EvaluationEngine(application, profile))
-    path.write_bytes(b"not a pickle at all")
+    path = store.path_for(EvaluationEngine(*context))
+    path.write_bytes(b"not a store file at all")
 
-    engine = EvaluationEngine(application, profile)
+    engine = EvaluationEngine(*context)
     assert store.warm(engine) == 0
     assert not path.exists()
     assert store.stats.invalid_files == 1
 
 
 def test_foreign_payload_is_rejected(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path)
-    path = store.path_for(EvaluationEngine(application, profile))
-    path.write_bytes(pickle.dumps({"caches": "nope", "salt": "other"}))
-    assert store.warm(EvaluationEngine(application, profile)) == 0
+    path = store.path_for(EvaluationEngine(*context))
+    body = json.dumps({"caches": "nope", "salt": "other"}).encode()
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    assert store.warm(EvaluationEngine(*context)) == 0
     assert not path.exists()
+    assert store.stats.invalid_files == 1
 
 
 # ----------------------------------------------------------------------
-# size cap / eviction
+# size cap / eviction / legacy files
 # ----------------------------------------------------------------------
 def test_size_cap_evicts_least_recently_used(tmp_path, context):
-    application, profile = context
     store = DesignPointStore(tmp_path, max_bytes=1)  # everything over cap
     store.persist(_engine_with_entries(context))
     # The just-written file is protected from its own eviction pass...
-    assert store.path_for(EvaluationEngine(application, profile)).exists()
+    assert store.path_for(EvaluationEngine(*context)).exists()
 
     # ...but an older unrelated file gets evicted.
-    stale = tmp_path / ("f" * 64 + ".pkl")
+    stale = tmp_path / ("f" * 64 + STORE_SUFFIX)
     stale.write_bytes(b"x" * 4096)
     os.utime(stale, (1, 1))
-    store.persist(_engine_with_entries(context))
+    store.persist(_engine_with_entries(context, MAPPINGS[4:]))
     assert not stale.exists()
     assert store.stats.evicted_files >= 1
 
@@ -179,21 +265,26 @@ def test_rejects_nonpositive_cap(tmp_path):
 
 def test_warm_survives_concurrent_eviction_of_the_file(tmp_path, context, monkeypatch):
     """A racing process may unlink the file between our read and the LRU
-    touch; warm() must shrug, not crash the sweep."""
-    application, profile = context
+    touch; warm() must shrug, not crash the sweep, and a later persist
+    must write the file again."""
     store = DesignPointStore(tmp_path)
     store.persist(_engine_with_entries(context))
-    path = store.path_for(EvaluationEngine(application, profile))
+    path = store.path_for(EvaluationEngine(*context))
 
     original_utime = os.utime
 
     def unlink_then_utime(target, *args, **kwargs):
-        Path(target).unlink()  # simulate the concurrent eviction
+        path.unlink()  # simulate the concurrent eviction
         return original_utime(target, *args, **kwargs)
 
     monkeypatch.setattr(os, "utime", unlink_then_utime)
-    engine = EvaluationEngine(application, profile)
-    assert store.warm(engine) > 0  # entries still served from the read
+    engine = EvaluationEngine(*context)
+    assert store.warm(engine) == 4  # entries still served from the read
+    monkeypatch.setattr(os, "utime", original_utime)
+
+    _optimize(engine, MAPPINGS[5])
+    assert store.persist(engine) == 5
+    assert DesignPointStore(tmp_path).warm(EvaluationEngine(*context)) == 5
 
 
 def test_stale_tmp_orphans_are_swept_and_capped(tmp_path, context):
@@ -209,6 +300,64 @@ def test_stale_tmp_orphans_are_swept_and_capped(tmp_path, context):
     os.utime(fresh_orphan, (os.path.getmtime(tmp_path) - 10,) * 2)
     store.persist(_engine_with_entries(context))  # cap pass runs after persist
     assert not fresh_orphan.exists()  # counted and evicted like any file
+
+
+def test_legacy_pickle_files_are_removed_and_not_counted(tmp_path, context):
+    """Schema-2 ``*.pkl`` files are unreachable: a new store deletes them."""
+    legacy = [tmp_path / (f"{index:064x}.pkl") for index in range(3)]
+    for path in legacy:
+        path.write_bytes(b"\x80\x05" + b"x" * 2048)
+    os.utime(legacy[0], (1, 1))
+    store = DesignPointStore(tmp_path)
+    assert not any(path.exists() for path in legacy)
+    assert store.directory_stats()["files"] == 0
+
+    store.persist(_engine_with_entries(context))
+    late = tmp_path / ("a" * 64 + ".pkl")
+    late.write_bytes(b"x" * 64)  # written after construction
+    assert store.directory_stats()["files"] == 1
+    DesignPointStore(tmp_path)
+    assert not late.exists()
+
+
+# ----------------------------------------------------------------------
+# warm re-runs of the Fig. 6 scenarios
+# ----------------------------------------------------------------------
+def _run(scenario: str, cache_dir: Path) -> api.RunReport:
+    return api.run(scenario, api.RunConfig(preset="smoke", cache_dir=cache_dir))
+
+
+@pytest.mark.parametrize("scenario", ["fig6a", "fig6b", "fig6c", "fig6d"])
+def test_warm_rerun_of_each_fig6_scenario_computes_no_point(tmp_path, scenario):
+    cold = _run(scenario, tmp_path)
+    assert cold.cache["points_computed"] > 0
+    store_bytes = {path.name: path.read_bytes() for path in tmp_path.glob(f"*{STORE_SUFFIX}")}
+    assert store_bytes
+
+    warm = _run(scenario, tmp_path)
+    assert warm.results == cold.results
+    assert warm.cache["points_computed"] == 0
+    assert warm.cache["misses"] == 0
+    assert warm.cache["disk_hits"] > 0
+    after = {path.name: path.read_bytes() for path in tmp_path.glob(f"*{STORE_SUFFIX}")}
+    assert after == store_bytes  # nothing new, nothing rewritten
+
+
+def test_partial_run_merges_into_the_union(tmp_path):
+    """Cold 6a then warm 6c: 6c reuses 6a's shared setting, adds its own."""
+    cold_6a = _run("fig6a", tmp_path)
+    files_6a = set(tmp_path.glob(f"*{STORE_SUFFIX}"))
+    warm_6c = _run("fig6c", tmp_path)
+    assert warm_6c.cache["disk_hits"] > 0  # the shared (SER, HPD) setting
+    assert warm_6c.cache["points_computed"] > 0  # the settings 6a lacks
+    files = set(tmp_path.glob(f"*{STORE_SUFFIX}"))
+    assert files_6a < files
+
+    for scenario, cold in (("fig6a", cold_6a), ("fig6c", warm_6c)):
+        again = _run(scenario, tmp_path)
+        assert again.results == cold.results
+        assert again.cache["points_computed"] == 0
+    assert set(tmp_path.glob(f"*{STORE_SUFFIX}")) == files
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +503,8 @@ def test_single_flight_follower_serves_the_leaders_points_from_disk(tmp_path, co
     with follower_store.single_flight(follower_engine):
         loaded = follower_store.warm(follower_engine)
     assert loaded > 0
-    value = follower_engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert value == leader_engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert follower_engine.exceedance.stats.misses == 0
+    assert _optimize(follower_engine, MAPPINGS[2]) == _optimize(leader_engine, MAPPINGS[2])
+    assert follower_engine.optimizations.stats.misses == 0
 
 
 # ----------------------------------------------------------------------
