@@ -10,8 +10,8 @@ This module provides three classes:
 * :class:`Process` — a non-preemptable unit of computation.
 * :class:`Message` — a directed data dependency with a worst-case bus
   transmission time.
-* :class:`TaskGraph` — one DAG of processes and messages (thin wrapper around
-  :class:`networkx.DiGraph` with validation and timing helpers).
+* :class:`TaskGraph` — one DAG of processes and messages (insertion-ordered
+  adjacency tables with validation and timing helpers).
 * :class:`Application` — a set of task graphs plus the global real-time and
   reliability parameters (deadline ``D``, period ``T``, recovery overhead
   ``mu``, reliability goal ``rho`` and the time unit ``tau``).
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from repro.core.exceptions import ModelError
 from repro.utils.validation import (
@@ -101,13 +99,23 @@ class Message:
 
 
 class TaskGraph:
-    """A directed acyclic graph of processes connected by messages."""
+    """A directed acyclic graph of processes connected by messages.
+
+    Processes and adjacency are plain dictionaries in insertion order:
+    ``_succ[a]`` maps each successor ``b`` of ``a`` to the message ``a -> b``
+    (and ``_pred[b]`` mirrors it), in the order the edges were added, so a
+    removed and re-added edge moves to the end.  Every query that reports an
+    order — :meth:`process_names`, :meth:`successors`, :meth:`predecessors`,
+    :meth:`topological_order` — derives it from these insertion orders.
+    """
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ModelError("TaskGraph name must be a non-empty string")
         self.name = name
-        self._graph = nx.DiGraph()
+        self._processes: Dict[str, Process] = {}
+        self._succ: Dict[str, Dict[str, Message]] = {}
+        self._pred: Dict[str, Dict[str, Message]] = {}
         self._messages: Dict[Tuple[str, str], Message] = {}
         # Structure caches (topological order, adjacency) — rebuilt lazily and
         # dropped on every mutation.  The DSE heuristics query graph structure
@@ -118,63 +126,104 @@ class TaskGraph:
         ] = None
         self._generations_cache: Optional[List[List[str]]] = None
         self._token_cache: Optional[Tuple] = None
-        self._process_list_cache: Optional[List[Process]] = None
 
     def _invalidate_structure_caches(self) -> None:
         self._topo_cache = None
         self._adjacency_cache = None
         self._generations_cache = None
         self._token_cache = None
-        self._process_list_cache = None
 
     def _adjacency(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
         if self._adjacency_cache is None:
-            predecessors = {
-                name: list(self._graph.predecessors(name)) for name in self._graph
-            }
-            successors = {
-                name: list(self._graph.successors(name)) for name in self._graph
-            }
+            predecessors = {name: list(preds) for name, preds in self._pred.items()}
+            successors = {name: list(succs) for name, succs in self._succ.items()}
             self._adjacency_cache = (predecessors, successors)
         return self._adjacency_cache
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``target``.
+
+        Iterative depth-first search, so arbitrarily long chains do not hit
+        the interpreter's recursion limit.
+        """
+        succ = self._succ
+        seen = {start}
+        stack = [start]
+        while stack:
+            for child in succ[stack.pop()]:
+                if child == target:
+                    return True
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return False
+
+    def _kahn_generations(self) -> List[List[str]]:
+        """Kahn layers, unsorted: the first layer lists the processes without
+        predecessors in insertion order; each later layer lists the children
+        released by the previous one, visiting parents in layer order and
+        each parent's successors in edge insertion order."""
+        succ = self._succ
+        indegree = {name: len(preds) for name, preds in self._pred.items() if preds}
+        current = [name for name, preds in self._pred.items() if not preds]
+        generations: List[List[str]] = []
+        while current:
+            following: List[str] = []
+            for name in current:
+                for child in succ[name]:
+                    remaining = indegree[child] - 1
+                    if remaining:
+                        indegree[child] = remaining
+                    else:
+                        del indegree[child]
+                        following.append(child)
+            generations.append(current)
+            current = following
+        return generations
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_process(self, process: Process) -> Process:
         """Add ``process`` to the graph.  Re-adding the same name is an error."""
-        if process.name in self._graph:
+        if process.name in self._processes:
             raise ModelError(
                 f"Process {process.name} already exists in task graph {self.name}"
             )
         self._invalidate_structure_caches()
-        self._graph.add_node(process.name, process=process)
+        self._processes[process.name] = process
+        self._succ[process.name] = {}
+        self._pred[process.name] = {}
         return process
 
     def add_message(self, message: Message) -> Message:
-        """Add a data dependency; both endpoints must already be processes."""
-        for endpoint in (message.source, message.destination):
-            if endpoint not in self._graph:
+        """Add a data dependency; both endpoints must already be processes.
+
+        The graph stays acyclic: an edge whose destination already reaches
+        its source is rejected before anything is modified.
+        """
+        source, destination = message.source, message.destination
+        for endpoint in (source, destination):
+            if endpoint not in self._processes:
                 raise ModelError(
                     f"Message {message.name} references unknown process {endpoint} "
                     f"in task graph {self.name}"
                 )
-        key = (message.source, message.destination)
+        key = (source, destination)
         if key in self._messages:
             raise ModelError(
-                f"A message from {message.source} to {message.destination} "
+                f"A message from {source} to {destination} "
                 f"already exists in task graph {self.name}"
             )
-        self._invalidate_structure_caches()
-        self._graph.add_edge(message.source, message.destination, message=message)
-        self._messages[key] = message
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(message.source, message.destination)
-            del self._messages[key]
+        if self._reaches(destination, source):
             raise ModelError(
                 f"Adding message {message.name} would create a cycle in task "
                 f"graph {self.name}"
             )
+        self._invalidate_structure_caches()
+        self._succ[source][destination] = message
+        self._pred[destination][source] = message
+        self._messages[key] = message
         return message
 
     def remove_message(self, source: str, destination: str) -> Message:
@@ -191,7 +240,8 @@ class TaskGraph:
                 f"No message from {source} to {destination} in task graph {self.name}"
             )
         self._invalidate_structure_caches()
-        self._graph.remove_edge(source, destination)
+        del self._succ[source][destination]
+        del self._pred[destination][source]
         del self._messages[key]
         return message
 
@@ -201,15 +251,11 @@ class TaskGraph:
     @property
     def processes(self) -> List[Process]:
         """All processes, in insertion order."""
-        if self._process_list_cache is None:
-            self._process_list_cache = [
-                self._graph.nodes[name]["process"] for name in self._graph.nodes
-            ]
-        return list(self._process_list_cache)
+        return list(self._processes.values())
 
     @property
     def process_names(self) -> List[str]:
-        return list(self._graph.nodes)
+        return list(self._processes)
 
     @property
     def messages(self) -> List[Message]:
@@ -218,7 +264,7 @@ class TaskGraph:
 
     def process(self, name: str) -> Process:
         try:
-            return self._graph.nodes[name]["process"]
+            return self._processes[name]
         except KeyError as exc:
             raise ModelError(f"Unknown process {name} in task graph {self.name}") from exc
 
@@ -227,7 +273,7 @@ class TaskGraph:
         return self._messages.get((source, destination))
 
     def has_process(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._processes
 
     def predecessors(self, name: str) -> List[str]:
         return list(self._adjacency()[0][name])
@@ -236,22 +282,24 @@ class TaskGraph:
         return list(self._adjacency()[1][name])
 
     def incoming_messages(self, name: str) -> List[Message]:
-        return [self._messages[(pred, name)] for pred in self._adjacency()[0][name]]
+        return list(self._pred[name].values())
 
     def outgoing_messages(self, name: str) -> List[Message]:
-        return [self._messages[(name, succ)] for succ in self._adjacency()[1][name]]
+        return list(self._succ[name].values())
 
     def sources(self) -> List[str]:
         """Processes with no predecessors (entry points of the graph)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [name for name, preds in self._pred.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Processes with no successors (exit points of the graph)."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [name for name, succs in self._succ.items() if not succs]
 
     def topological_order(self) -> List[str]:
         if self._topo_cache is None:
-            self._topo_cache = list(nx.topological_sort(self._graph))
+            self._topo_cache = [
+                name for generation in self._kahn_generations() for name in generation
+            ]
         return list(self._topo_cache)
 
     def adjacency_maps(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
@@ -269,8 +317,7 @@ class TaskGraph:
         strictly earlier layers.  Cached; treat the result as read-only."""
         if self._generations_cache is None:
             self._generations_cache = [
-                sorted(generation)
-                for generation in nx.topological_generations(self._graph)
+                sorted(generation) for generation in self._kahn_generations()
             ]
         return self._generations_cache
 
@@ -288,7 +335,7 @@ class TaskGraph:
         """
         if self._token_cache is None:
             self._token_cache = (
-                tuple(self._graph.nodes),
+                tuple(self._processes),
                 tuple(
                     (message.name, message.source, message.destination,
                      message.transmission_time)
@@ -298,10 +345,10 @@ class TaskGraph:
         return self._token_cache
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._processes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._processes
 
     def __iter__(self) -> Iterator[Process]:
         return iter(self.processes)
@@ -359,10 +406,6 @@ class TaskGraph:
                 best_tail = max(best_tail, tail)
             rank[name] = best_tail + execution_time(name)
         return rank
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
 
 
 class Application:
@@ -467,7 +510,7 @@ class Application:
 
     def set_recovery_overhead(self, process_name: str, value: float) -> None:
         """Override the recovery overhead ``mu`` for one process."""
-        if process_name not in set(self.process_names()):
+        if process_name not in self.process_name_set():
             raise ModelError(
                 f"Cannot set recovery overhead: unknown process {process_name}"
             )

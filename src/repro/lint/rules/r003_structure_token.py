@@ -9,10 +9,12 @@ construction ``Schedule`` tables) are mutated **only** inside the methods
 that keep the structural token and caches consistent.
 
 The rule flags, anywhere in the tree, item assignment / deletion, mutating
-method calls (``append``, ``update``, ``add_edge`` …) and attribute
-rebinding on the guarded attributes — unless the mutation happens inside the
+method calls (``append``, ``update``, ``pop`` …) and attribute
+rebinding on the guarded attributes, and the same edits one subscript level
+down (``graph._succ[a][b] = m``, ``del graph._pred[b][a]``,
+``graph._succ[a].pop(b)``) — unless the mutation happens inside the
 owning class's sanctioned mutator methods.  Local-alias mutations
-(``g = graph._graph; g.add_node(...)``) are not modeled; the guarded names
+(``succ = graph._succ; succ[a][b] = m``) are not modeled; the guarded names
 are private, so any such alias is already a reach into internals that review
 should catch.
 """
@@ -42,7 +44,7 @@ class GuardSpec:
 GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="TaskGraph",
-        attrs=frozenset({"_graph", "_messages"}),
+        attrs=frozenset({"_processes", "_succ", "_pred", "_messages"}),
         mutators=frozenset(
             {
                 "__init__",
@@ -81,13 +83,6 @@ _MUTATING_METHODS = frozenset(
         "clear",
         "remove",
         "discard",
-        # networkx.DiGraph mutators reached through TaskGraph._graph
-        "add_node",
-        "add_edge",
-        "add_nodes_from",
-        "add_edges_from",
-        "remove_node",
-        "remove_edge",
     }
 )
 
@@ -154,7 +149,10 @@ class StructureTokenRule(LintRule):
 # mutation detection
 # ----------------------------------------------------------------------
 def _guarded_attribute(expression: ast.expr) -> Optional[str]:
-    """The guarded attribute name if ``expression`` is ``<obj>.<guarded>``."""
+    """The guarded attribute name if ``expression`` is ``<obj>.<guarded>``
+    or one item of it, ``<obj>.<guarded>[key]``."""
+    if isinstance(expression, ast.Subscript):
+        expression = expression.value
     if isinstance(expression, ast.Attribute) and expression.attr in _ALL_GUARDED_ATTRS:
         return expression.attr
     return None

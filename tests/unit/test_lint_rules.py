@@ -488,7 +488,8 @@ class TestKernelContract:
 _TASKGRAPH = """
 class TaskGraph:
     def __init__(self):
-        self._graph = {}
+        self._succ = {}
+        self._pred = {}
         self._messages = {}
 
     def add_message(self, message):
@@ -529,17 +530,65 @@ class TestStructureToken:
         (violation,) = findings(project, "R003")
         assert "mutating call .pop()" in violation.message
 
-    def test_networkx_style_mutator_fires(self):
+    def test_adjacency_table_mutator_fires(self):
         project = project_from(
             **{
                 "repro.scheduling.rewire": """
                 def rewire(graph, a, b):
-                    graph._graph.add_edge(a, b)
+                    graph._succ.setdefault(a, {})
                 """
             }
         )
         (violation,) = findings(project, "R003")
-        assert "mutating call .add_edge()" in violation.message
+        assert "mutating call .setdefault()" in violation.message
+        assert "._succ" in violation.message
+
+    @pytest.mark.parametrize(
+        "statement, attr, kind",
+        [
+            ("graph._succ[a].append(b)", "_succ", "mutating call .append()"),
+            ("graph._succ[a][b] = message", "_succ", "item assignment"),
+            ("del graph._pred[b][a]", "_pred", "item deletion"),
+            ("graph._pred[b].pop(a)", "_pred", "mutating call .pop()"),
+            ("graph._processes[a] = message", "_processes", "item assignment"),
+        ],
+    )
+    def test_nested_subscript_mutation_fires(self, statement, attr, kind):
+        project = project_from(
+            **{
+                "repro.scheduling.rewire": f"""
+                def rewire(graph, a, b, message):
+                    {statement}
+                """
+            }
+        )
+        (violation,) = findings(project, "R003")
+        assert kind in violation.message
+        assert f".{attr} " in violation.message
+
+    def test_nested_subscript_mutation_inside_sanctioned_mutator_is_quiet(self):
+        project = project_from(
+            **{
+                "repro.core.application": _TASKGRAPH
+                + """
+    def remove_message(self, a, b):
+        del self._succ[a][b]
+        del self._pred[b][a]
+"""
+            }
+        )
+        assert findings(project, "R003") == []
+
+    def test_nested_subscript_read_is_quiet(self):
+        project = project_from(
+            **{
+                "repro.scheduling.reader": """
+                def successors(graph, a):
+                    return list(graph._succ[a]) + [graph._pred[a].get(a)]
+                """
+            }
+        )
+        assert findings(project, "R003") == []
 
     def test_read_access_is_quiet(self):
         project = project_from(
