@@ -22,7 +22,7 @@ def main() -> None:
     print()
 
     # One-shot: run a scenario under a declarative config.
-    config = RunConfig(preset="smoke", sfp_kernel="auto")
+    config = RunConfig(preset="smoke")
     report = run("fig6a", config)
     print(report.text)
     print()

@@ -35,10 +35,10 @@ from typing import List, Optional
 
 from repro import api
 from repro.kernels import (
-    active_sched_kernel,
-    get_kernel,
-    kernel_names,
-    sched_kernel_names,
+    DEFAULT_SCHED_KERNEL,
+    DEFAULT_SFP_KERNEL,
+    SCHED_KERNELS,
+    SFP_KERNELS,
 )
 
 #: Representative node workloads for the kernel microbenchmark: (per-process
@@ -84,9 +84,9 @@ def _run_sweep(
 
 
 #: Scaling curve of the synthetic-random family: the DSE loop's cost is
-#: dominated by neighbourhood evaluation, so a single size hides how the
-#: batched kernels amortize with problem size.  Each size is its own gated
-#: history pair key (``synthetic-random-n<N>:batch+batch``).
+#: dominated by neighbourhood evaluation, so a single size hides how it
+#: grows with problem size.  Each size is its own gated history pair key
+#: (``synthetic-random-n<N>:array+flat``).
 SYNTHETIC_RANDOM_SCALE = (50, 200, 800)
 #: Sizes also run on the reference pair for the bit-identity gate; the
 #: largest point is timing-only (the reference pair there roughly doubles
@@ -122,7 +122,7 @@ def _run_synthetic_random(
 
 def _microbench(kernel_name: str) -> dict:
     """Raw primitive throughput (µs/op) outside the engine's memo tables."""
-    kernel = get_kernel(kernel_name)
+    kernel = SFP_KERNELS[kernel_name]
     start = time.perf_counter()
     for _ in range(MICRO_ROUNDS):
         for probabilities, budget in MICRO_CASES:
@@ -235,13 +235,10 @@ def main() -> int:
     )
     arguments = parser.parse_args()
 
-    names = kernel_names(available_only=True)
     # The SFP-kernel loop never overrides the scheduler selection, so the
-    # headline sweeps run on the ambient choice (REPRO_SCHED_KERNEL or auto)
-    # — record that, not the auto-priority winner.
-    headline_sched = active_sched_kernel().name
+    # headline sweeps run on the default scheduler kernel.
     kernels = {}
-    for name in names:
+    for name in SFP_KERNELS:
         run = _run_sweep(arguments.preset, name)
         run["micro"] = _microbench(name)
         kernels[name] = run
@@ -258,13 +255,14 @@ def main() -> int:
                 reference_run["wall_clock_seconds"] / run["wall_clock_seconds"], 3
             )
 
-    # Scheduler kernel backends: the same sweep per backend, on the fastest
+    # Scheduler kernel backends: the same sweep per backend, on the default
     # SFP kernel.  Any divergence from the reference scheduler's acceptance
     # output is a bit-identity violation and fails the run.
-    sched_names = sched_kernel_names(available_only=True)
     sched_kernels = {}
-    for name in sched_names:
-        sched_kernels[name] = _run_sweep(arguments.preset, names[0], sched_kernel=name)
+    for name in SCHED_KERNELS:
+        sched_kernels[name] = _run_sweep(
+            arguments.preset, DEFAULT_SFP_KERNEL, sched_kernel=name
+        )
     sched_reference = sched_kernels.get("reference")
     for name, run in sched_kernels.items():
         if (
@@ -279,65 +277,39 @@ def main() -> int:
                 sched_reference["wall_clock_seconds"] / run["wall_clock_seconds"], 3
             )
 
-    # Combined batched pair: both families' batch backends in one session —
-    # the configuration the DSE neighbourhood batching targets.  Same
-    # bit-identity gate as the per-family loops, plus a cold-store pass so
-    # the history series tracks the end-to-end compute-everything cost.
-    batch_pair = None
-    if "batch" in names and "batch" in sched_names:
-        batch_pair = _run_sweep(arguments.preset, "batch", sched_kernel="batch")
-        if (
-            reference_run is not None
-            and batch_pair["acceptance"] != reference_run["acceptance"]
-        ):
-            errors.append("batch+batch kernel pair acceptance differs from reference")
-        if batch_pair["cache"]["batch_rows"] == 0:
-            errors.append("batch+batch kernel pair reported zero batched rows")
-        with tempfile.TemporaryDirectory(prefix="repro-bench-batch-") as store_dir:
-            batch_cold = _run_sweep(
-                arguments.preset,
-                "batch",
-                sched_kernel="batch",
-                store_dir=Path(store_dir),
-            )
-        batch_pair["cold_store_wall_clock_seconds"] = batch_cold[
-            "wall_clock_seconds"
-        ]
-
     # Parameterized synthetic-random family: a cold scaling curve on the
-    # batched pair — one run per SYNTHETIC_RANDOM_SCALE size against a
+    # default pair — one run per SYNTHETIC_RANDOM_SCALE size against a
     # throwaway store (everything is computed, so the history tracks each
     # size's end-to-end cost and batch fill rate).  The smaller sizes are
     # also gated bit-for-bit against the reference pair; the largest point
     # is timing-only (see SYNTHETIC_RANDOM_GATED).
     synthetic_random = {}
-    if "batch" in names and "batch" in sched_names:
-        for n_processes in SYNTHETIC_RANDOM_SCALE:
-            with tempfile.TemporaryDirectory(prefix="repro-bench-random-") as store_dir:
-                run = _run_synthetic_random(
-                    n_processes, "batch", sched_kernel="batch", store_dir=Path(store_dir)
-                )
-            synthetic_random[f"n{n_processes}"] = run
-            if n_processes in SYNTHETIC_RANDOM_GATED:
-                random_reference = _run_synthetic_random(
-                    n_processes, "reference", sched_kernel="reference"
-                )
-                if run["strategies"] != random_reference["strategies"]:
-                    errors.append(
-                        f"synthetic-random n={n_processes} batch+batch design "
-                        "output diverged from reference"
-                    )
-            if run["cache"]["batch_cold_rows"] < 2:
+    for n_processes in SYNTHETIC_RANDOM_SCALE:
+        with tempfile.TemporaryDirectory(prefix="repro-bench-random-") as store_dir:
+            run = _run_synthetic_random(
+                n_processes, DEFAULT_SFP_KERNEL, store_dir=Path(store_dir)
+            )
+        synthetic_random[f"n{n_processes}"] = run
+        if n_processes in SYNTHETIC_RANDOM_GATED:
+            random_reference = _run_synthetic_random(
+                n_processes, "reference", sched_kernel="reference"
+            )
+            if run["strategies"] != random_reference["strategies"]:
                 errors.append(
-                    f"cold synthetic-random n={n_processes} run saw no "
-                    "multi-row cold batch blocks"
+                    f"synthetic-random n={n_processes} default-pair design "
+                    "output diverged from reference"
                 )
+        if run["cache"]["batch_cold_rows"] < 2:
+            errors.append(
+                f"cold synthetic-random n={n_processes} run saw no "
+                "multi-row cold batch blocks"
+            )
 
-    # Persistent-store cold/warm pass on the auto-selected (fastest) kernel.
+    # Persistent-store cold/warm pass on the default kernels.
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as store_dir:
-        cold = _run_sweep(arguments.preset, names[0], store_dir=Path(store_dir))
-        warm = _run_sweep(arguments.preset, names[0], store_dir=Path(store_dir))
-    if warm["acceptance"] != kernels[names[0]]["acceptance"]:
+        cold = _run_sweep(arguments.preset, DEFAULT_SFP_KERNEL, store_dir=Path(store_dir))
+        warm = _run_sweep(arguments.preset, DEFAULT_SFP_KERNEL, store_dir=Path(store_dir))
+    if warm["acceptance"] != kernels[DEFAULT_SFP_KERNEL]["acceptance"]:
         errors.append("warm persistent-store run changed acceptance output")
     if warm["cache"]["disk_hits"] == 0:
         errors.append("warm persistent-store run reported zero disk hits")
@@ -349,42 +321,33 @@ def main() -> int:
         "warm_points_computed": warm["cache"]["points_computed"],
     }
 
-    fastest = kernels[names[0]]
+    fastest = kernels[DEFAULT_SFP_KERNEL]
     payload = {
         "benchmark": f"fig6a_hpd_sweep_{arguments.preset}",
-        # Backwards-compatible top-level fields: the auto-selected kernel.
-        "kernel": names[0],
+        # Top-level fields: the default kernel pair.
+        "kernel": DEFAULT_SFP_KERNEL,
         "wall_clock_seconds": fastest["wall_clock_seconds"],
         "cache": fastest["cache"],
         "acceptance": fastest["acceptance"],
-        "sched_kernel": headline_sched,
+        "sched_kernel": DEFAULT_SCHED_KERNEL,
         "kernels": kernels,
         "sched_kernels": sched_kernels,
         "persistent_store": store_report,
+        "synthetic_random": synthetic_random,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    if batch_pair is not None:
-        payload["batch_pair"] = batch_pair
-    if synthetic_random:
-        payload["synthetic_random"] = synthetic_random
     arguments.output.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
+    default_pair = f"{DEFAULT_SFP_KERNEL}+{DEFAULT_SCHED_KERNEL}"
     pairs = {
-        f"{names[0]}+{headline_sched}": dict(
+        default_pair: dict(
             _pair_entry(fastest),
             cold_store_wall_clock_seconds=store_report["cold_wall_clock_seconds"],
         )
     }
-    if batch_pair is not None:
-        pairs["batch+batch"] = dict(
-            _pair_entry(batch_pair),
-            cold_store_wall_clock_seconds=batch_pair[
-                "cold_store_wall_clock_seconds"
-            ],
-        )
     for size_key, run in synthetic_random.items():
-        pairs[f"synthetic-random-{size_key}:batch+batch"] = _pair_entry(run)
+        pairs[f"synthetic-random-{size_key}:{default_pair}"] = _pair_entry(run)
     history_record = {
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"

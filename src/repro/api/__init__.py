@@ -9,11 +9,10 @@ structured :class:`RunReport`:
 >>> report.results["acceptance"]["5"]["OPT"]
 100.0
 
-The module replaces ad-hoc flag/env plumbing and mutable process-global
-kernel defaults with one documented resolution order (explicit config >
-environment variable > ``auto``; see :mod:`repro.api.config`) and scoped
-kernel selection (:func:`repro.kernels.registry.use_kernel`).  The CLI's
-``repro-ftes run`` is a thin driver over exactly this API.
+Kernel backends are named in the config and selected for the run through
+the scoped :func:`repro.kernels.registry.use_kernel` (see
+:mod:`repro.api.config`).  The CLI's ``repro-ftes run`` is a thin driver
+over exactly this API.
 """
 
 from __future__ import annotations

@@ -2,24 +2,16 @@
 
 A :class:`RunConfig` is the single typed object through which every knob of
 a scenario run is expressed — kernel backends, persistent cache, worker
-processes, seed, experiment preset and report output.  It replaces the
-previous mix of mutable process-global defaults (``set_default_kernel`` /
-``set_default_sched_kernel``), environment variables and per-subcommand
-CLI flags.
+processes, seed, experiment preset and report output.
 
-**Resolution order** (documented here once, applied everywhere): for each
-knob that also has an environment variable, the effective value is
+**Kernel selection**: an explicit :attr:`RunConfig.sfp_kernel` /
+:attr:`RunConfig.sched_kernel` name wins; ``None`` keeps the selection
+active when the run starts (the family default outside any
+:func:`~repro.kernels.registry.use_kernel` scope).  Kernel backends are
+bit-identical by contract, so this is a speed knob only and never changes
+results.
 
-1. the explicit :class:`RunConfig` field, when not ``None``;
-2. the environment variable (``REPRO_SFP_KERNEL`` / ``REPRO_SCHED_KERNEL``);
-3. ``auto`` — the highest-priority backend whose ``is_available()`` is true.
-
-(The deprecated process-global default set by ``set_default_*_kernel``
-slots between 1 and 2 for backwards compatibility; new code should not use
-it.)  Kernel backends are bit-identical by contract, so this order is a
-speed knob only and never changes results.
-
-**Scenario parameters** resolve analogously but per scenario family
+**Scenario parameters** resolve per scenario family
 (:meth:`repro.api.registry.ScenarioSpec.resolve_params`): an explicit entry
 in :attr:`RunConfig.scenario_params` (the CLI's ``--param key=value``)
 beats the parameter's declared default.  Unlike kernels these *are* answer
@@ -37,7 +29,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.core.exceptions import ModelError
 from repro.engine.store import DEFAULT_MAX_BYTES
 from repro.experiments.synthetic import ExperimentPreset
-from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS
+from repro.kernels.registry import get_kernel, get_sched_kernel
 
 #: Preset names accepted by :attr:`RunConfig.preset`.
 PRESETS = {
@@ -57,9 +49,8 @@ class RunConfig:
     Parameters
     ----------
     sfp_kernel / sched_kernel:
-        Explicit kernel backend names (or ``"auto"``).  ``None`` defers to
-        the family's environment variable, then ``auto`` (see the module
-        docstring for the full resolution order).
+        Explicit kernel backend names, validated at construction.  ``None``
+        keeps the active selection (see the module docstring).
     cache_dir:
         Directory of the persistent design-point store; ``None`` disables
         persistence.
@@ -102,6 +93,10 @@ class RunConfig:
             raise ModelError(
                 f"Unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}"
             )
+        if self.sfp_kernel is not None:
+            get_kernel(self.sfp_kernel)
+        if self.sched_kernel is not None:
+            get_sched_kernel(self.sched_kernel)
         if self.jobs < 0:
             raise ModelError(f"jobs must be >= 0 (1 = serial, 0 = one per CPU), got {self.jobs}")
         if self.cache_size_mb < 1:
@@ -119,18 +114,6 @@ class RunConfig:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def resolved_sfp_kernel(self) -> str:
-        """Concrete SFP backend name under the documented resolution order."""
-        if self.sfp_kernel is not None:
-            return SFP_KERNELS.get(self.sfp_kernel).name
-        return SFP_KERNELS.active().name
-
-    def resolved_sched_kernel(self) -> str:
-        """Concrete scheduler backend name under the resolution order."""
-        if self.sched_kernel is not None:
-            return SCHED_KERNELS.get(self.sched_kernel).name
-        return SCHED_KERNELS.active().name
-
     def resolved_preset(self) -> ExperimentPreset:
         """The :class:`ExperimentPreset` instance, reseeded when ``seed`` is set."""
         preset = PRESETS[self.preset]()

@@ -5,7 +5,7 @@ the performance machinery of PRs 2–4 and owns, for its lifetime:
 
 * **kernel selection** — scoped through
   :func:`repro.kernels.registry.use_kernel` (snapshot/restore, exception
-  safe) instead of mutating the process-global defaults;
+  safe);
 * **the persistent design-point store** — one lazily-opened
   :class:`~repro.engine.store.DesignPointStore` handle when
   ``config.cache_dir`` is set;
@@ -36,7 +36,7 @@ from repro.engine.engine import EvaluationEngine
 from repro.engine.store import DesignPointStore
 from repro.experiments.synthetic import AcceptanceExperiment
 from repro.kernels.base import SFPKernel
-from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS, use_kernel
+from repro.kernels.registry import use_kernel
 from repro.kernels.sched_base import SchedulerKernel
 
 _KernelScope = ContextManager[Tuple[SFPKernel, SchedulerKernel]]
@@ -232,11 +232,8 @@ class Session:
         """
         spec = get_scenario(scenario_id)
         params = spec.resolve_params(self.config.scenario_params)
-        with self._scope():
-            kernels = {
-                "sfp": SFP_KERNELS.active().name,
-                "sched": SCHED_KERNELS.active().name,
-            }
+        with self._scope() as (sfp_kernel, sched_kernel):
+            kernels = {"sfp": sfp_kernel.name, "sched": sched_kernel.name}
             self.emit_progress(
                 {
                     "event": "scenario_started",

@@ -53,9 +53,8 @@ class DesignResult:
     cache_misses: int = field(default=0, compare=False)
     points_computed: int = field(default=0, compare=False)
     #: Batched-partition counters (also excluded from equality): rows handed
-    #: to batched neighbourhood lookups, and the residual cold rows that
-    #: reached a kernel.  ``batch_cold_rows / batch_rows`` is the fill rate
-    #: of the blocks the batch kernels actually saw.
+    #: to batched neighbourhood lookups, and the residual cold rows that had
+    #: to be computed.  ``batch_cold_rows / batch_rows`` is the fill rate.
     batch_rows: int = field(default=0, compare=False)
     batch_cold_rows: int = field(default=0, compare=False)
 

@@ -248,7 +248,7 @@ class _RedundancyEvaluator:
           type, hardening level and the mapped process list);
         * the per-row schedules are built in one
           :meth:`~repro.scheduling.list_scheduler.ListScheduler.schedule_batch`
-          call, amortizing the kernel's compiled tables across the block.
+          call, which validates and derives the application structure once.
         """
         if not trials:
             return []

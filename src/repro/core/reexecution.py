@@ -13,7 +13,7 @@ system failure probability the most receives one more re-execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,24 +40,6 @@ class ReExecutionDecision:
     @property
     def total_reexecutions(self) -> int:
         return sum(self.reexecutions.values())
-
-
-@dataclass
-class _LockstepTrial:
-    """Mutable per-trial state of one lockstep greedy run.
-
-    All per-node state is kept in lists aligned with ``node_names`` (the
-    architecture's node order): the greedy inner loop substitutes one slot,
-    snapshots the tuple and restores the slot, which avoids a per-element
-    dictionary lookup in the hottest expression of the whole optimizer.
-    """
-
-    index: int
-    node_names: List[str]
-    probabilities: List[Tuple[float, ...]]
-    budgets: List[int] = field(default_factory=list)
-    exceedance: List[float] = field(default_factory=list)
-    system: float = 0.0
 
 
 class ReExecutionOpt:
@@ -140,12 +122,6 @@ class ReExecutionOpt:
         kernel = self.kernel
         decimals = self.decimals
         cap = self.max_reexecutions_per_node
-        # Batched neighbourhood evaluation is an engine feature: the engine
-        # partitions each block against its memo and hands the residual cold
-        # rows to the kernel's vectorized pass.  Gated on the kernel's
-        # ``supports_batch`` so scalar-kernel runs keep the scalar call
-        # sequence; both paths are bit-identical with identical counters.
-        batched = engine is not None and engine.kernel.supports_batch
 
         # Per-node state lives in lists aligned with ``node_names``: the
         # candidate tuples below are substitute-snapshot-restore over one
@@ -160,11 +136,7 @@ class ReExecutionOpt:
             return kernel.system_failure(values, decimals)
 
         budget_list = [0] * count
-        if batched and engine is not None:
-            ex_list = engine.batch_node_exceedance(
-                [(block, 0) for block in prob_list], decimals
-            )
-        elif engine is not None:
+        if engine is not None:
             ex_list = [
                 engine.node_exceedance(block, 0, decimals) for block in prob_list
             ]
@@ -188,25 +160,11 @@ class ReExecutionOpt:
                 # Nodes without mapped processes: re-executions cannot help.
                 and prob_list[i]
             ]
-            if batched and engine is not None and eligible:
-                # The whole iteration's candidate block in one engine call:
-                # same keys in the same order as the scalar loop below, so
-                # cache counters and values are identical.
-                candidate_list: Optional[List[float]] = (
-                    engine.batch_node_exceedance(
-                        [(prob_list[i], budget_list[i] + 1) for i in eligible],
-                        decimals,
-                    )
-                )
-            else:
-                candidate_list = None
             best_index = -1
             best_system = system
             best_exceedance = 0.0
-            for slot, i in enumerate(eligible):
-                if candidate_list is not None:
-                    candidate_exceedance = candidate_list[slot]
-                elif engine is not None:
+            for i in eligible:
+                if engine is not None:
                     candidate_exceedance = engine.node_exceedance(
                         prob_list[i], budget_list[i] + 1, decimals
                     )
@@ -250,145 +208,22 @@ class ReExecutionOpt:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
     ) -> List[Optional[ReExecutionDecision]]:
-        """Greedy assignment for a block of sibling problems, in lockstep.
+        """Greedy assignment for a block of sibling problems.
 
         ``rows`` pairs each candidate architecture with its per-node failure
-        probability tuples (as :meth:`optimize` would derive them).  With a
-        batching engine the trials advance together: every lockstep round
-        gathers one greedy iteration's candidate queries from *all* still
-        active trials into a single :meth:`~repro.engine.engine.
-        EvaluationEngine.batch_node_exceedance` call, which is what makes
-        neighbourhood blocks wide enough for the vectorized kernel pass.
-
-        Each trial's greedy decisions depend only on its own values, and its
-        own query sequence is exactly the scalar one — interleaving trials
-        only regroups the multiset of memo queries, so per-trial results are
-        bit-identical to sequential :meth:`optimize` calls and the cache
-        counter totals are unchanged.
+        probability tuples (as :meth:`optimize` would derive them); each row
+        is one :meth:`optimize` call, in row order.
         """
-        engine = self.engine
-        if engine is None or not engine.kernel.supports_batch or len(rows) <= 1:
-            return [
-                self.optimize(
-                    application,
-                    architecture,
-                    mapping,
-                    profile,
-                    node_probabilities=probabilities,
-                )
-                for architecture, probabilities in rows
-            ]
-
-        goal = application.reliability_goal
-        time_unit = application.time_unit
-        period = application.period
-        decimals = self.decimals
-        cap = self.max_reexecutions_per_node
-        results: List[Optional[ReExecutionDecision]] = [None] * len(rows)
-
-        # Initial (budget 0) exceedance of every trial in one block.
-        names_per_row = [
-            [node.name for node in architecture] for architecture, _ in rows
-        ]
-        probs_per_row = [
-            [probabilities[name] for name in node_names]
-            for (_, probabilities), node_names in zip(rows, names_per_row)
-        ]
-        requests = [
-            (block, 0) for prob_list in probs_per_row for block in prob_list
-        ]
-        initial = engine.batch_node_exceedance(requests, decimals)
-
-        active: List[_LockstepTrial] = []
-        position = 0
-        for index, node_names in enumerate(names_per_row):
-            count = len(node_names)
-            ex_list = initial[position : position + count]
-            position += count
-            system = engine.system_failure(tuple(ex_list), decimals)
-            reliability = reliability_over_time_unit(system, time_unit, period)
-            if reliability >= goal:
-                results[index] = ReExecutionDecision(
-                    reexecutions=dict.fromkeys(node_names, 0),
-                    system_failure_per_iteration=system,
-                    reliability_over_time_unit=reliability,
-                    meets_goal=True,
-                )
-            else:
-                active.append(
-                    _LockstepTrial(
-                        index=index,
-                        node_names=node_names,
-                        probabilities=probs_per_row[index],
-                        budgets=[0] * count,
-                        exceedance=ex_list,
-                        system=system,
-                    )
-                )
-
-        while active:
-            # One greedy iteration per active trial; all candidate queries of
-            # the round go through a single partitioned batch.
-            eligible_per_trial: List[List[int]] = []
-            batch_requests: List[Tuple[Tuple[float, ...], int]] = []
-            for trial in active:
-                budgets = trial.budgets
-                prob_list = trial.probabilities
-                eligible = [
-                    i
-                    for i in range(len(prob_list))
-                    if budgets[i] < cap and prob_list[i]
-                ]
-                eligible_per_trial.append(eligible)
-                batch_requests.extend(
-                    (prob_list[i], budgets[i] + 1) for i in eligible
-                )
-            values = (
-                engine.batch_node_exceedance(batch_requests, decimals)
-                if batch_requests
-                else []
+        return [
+            self.optimize(
+                application,
+                architecture,
+                mapping,
+                profile,
+                node_probabilities=probabilities,
             )
-            position = 0
-            survivors: List[_LockstepTrial] = []
-            for trial, eligible in zip(active, eligible_per_trial):
-                ex_list = trial.exceedance
-                best_index = -1
-                best_system = trial.system
-                best_exceedance = 0.0
-                for i in eligible:
-                    candidate_exceedance = values[position]
-                    position += 1
-                    previous = ex_list[i]
-                    ex_list[i] = candidate_exceedance
-                    candidate_values = tuple(ex_list)
-                    ex_list[i] = previous
-                    candidate_system = engine.system_failure(
-                        candidate_values, decimals
-                    )
-                    if candidate_system < best_system:
-                        best_index = i
-                        best_system = candidate_system
-                        best_exceedance = candidate_exceedance
-                if best_index < 0:
-                    # Stagnation: the goal is unreachable in software for this
-                    # trial — its slot stays None, exactly like optimize().
-                    continue
-                trial.budgets[best_index] += 1
-                ex_list[best_index] = best_exceedance
-                system = engine.system_failure(tuple(ex_list), decimals)
-                reliability = reliability_over_time_unit(system, time_unit, period)
-                trial.system = system
-                if reliability >= goal:
-                    results[trial.index] = ReExecutionDecision(
-                        reexecutions=dict(zip(trial.node_names, trial.budgets)),
-                        system_failure_per_iteration=system,
-                        reliability_over_time_unit=reliability,
-                        meets_goal=True,
-                    )
-                else:
-                    survivors.append(trial)
-            active = survivors
-        return results
+            for architecture, probabilities in rows
+        ]
 
     # ------------------------------------------------------------------
     def evaluate(

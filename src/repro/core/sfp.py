@@ -38,9 +38,8 @@ All intermediate *success* probabilities are rounded **down** and all
 
 The three hot primitives — formulae (1), (4) and (5) — are served by a
 pluggable *kernel backend* (:mod:`repro.kernels`): the module-level functions
-below delegate to the active backend (``--sfp-kernel`` /
-``REPRO_SFP_KERNEL`` / fastest available), every backend being bit-identical
-to the pure-Python reference by contract.  The combinatorial helpers
+below delegate to the active backend (``--sfp-kernel``, default ``array``),
+which is bit-identical to the pure-Python reference by contract.  The combinatorial helpers
 (:func:`complete_homogeneous_sum`, :func:`enumerate_fault_scenarios`,
 :func:`probability_exactly`) stay here as the test-suite's independent
 specification of the DP.
@@ -66,8 +65,8 @@ from repro.kernels.registry import resolve_kernel
 from repro.utils.rounding import DEFAULT_DECIMALS, floor_probability
 from repro.utils.validation import require_in_unit_interval, require_positive
 
-#: Accepted by every ``kernel`` parameter: a backend instance, a registered
-#: backend name, or ``None`` for the process-wide active backend.
+#: Accepted by every ``kernel`` parameter: a backend instance, a backend
+#: name, or ``None`` for the active backend.
 KernelSpec = Union[SFPKernel, str, None]
 
 

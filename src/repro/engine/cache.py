@@ -21,10 +21,9 @@ class BatchStats:
     """Counters of batched cache partitions (neighbourhood evaluation).
 
     ``rows`` counts the rows handed to batched lookups, ``cold_rows`` the
-    residual rows that fell through every memo table and reached a kernel.
-    ``fill_rate`` is the cold fraction — how full the blocks handed to the
-    batch kernels actually were (1.0 = every row computed, 0.0 = all served
-    from cache).
+    residual rows that fell through the memo table and had to be computed.
+    ``fill_rate`` is the cold fraction (1.0 = every row computed, 0.0 = all
+    served from cache).
     """
 
     calls: int = 0
@@ -148,7 +147,7 @@ class MemoCache:
         hits, exactly as the scalar loop (which computes and stores before
         the next lookup) would count them.  The caller computes the cold
         rows, stores them with :meth:`put`, and back-fills duplicates from
-        the first occurrence (see ``EvaluationEngine.batch_node_exceedance``).
+        the first occurrence (see ``RedundancyOpt.evaluate_hardening_batch``).
         """
         values: List[Any] = []
         cold: List[int] = []

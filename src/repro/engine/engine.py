@@ -32,7 +32,7 @@ by the equivalence test-suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.core.application import Application
 from repro.core.profile import ExecutionProfile
@@ -84,7 +84,7 @@ class EvaluationEngine:
         #: that ran the re-execution optimizer + scheduler).
         self.evaluations = 0
         #: Counters of batched neighbourhood partitions (rows handed to
-        #: batched lookups vs. residual cold rows that reached a kernel).
+        #: batched lookups vs. residual cold rows that had to be computed).
         self.batch = BatchStats()
 
     # ------------------------------------------------------------------
@@ -176,49 +176,12 @@ class EvaluationEngine:
         return value
 
     # ------------------------------------------------------------------
-    # batched SFP layer — whole neighbourhoods per call
-    # ------------------------------------------------------------------
-    def batch_node_exceedance(
-        self,
-        requests: Sequence[Tuple[Tuple[float, ...], int]],
-        decimals: int,
-    ) -> List[float]:
-        """Memoized formula (4) for a block of (probabilities, budget) rows.
-
-        The batch is partitioned against the exceedance memo: hits (memo or
-        warm store) are served in place, the residual cold block goes to the
-        kernel's :meth:`~repro.kernels.base.SFPKernel.batch_probability_exceeds`
-        in one call (vectorized on ``supports_batch`` backends, the scalar
-        fallback loop otherwise).  Results and cache counters are identical
-        to issuing the rows as sequential :meth:`node_exceedance` calls —
-        duplicate rows inside one batch count as hits on their first
-        occurrence's computation, exactly like the scalar sequence.
-        """
-        keys = [
-            (probabilities, budget, decimals)
-            for probabilities, budget in requests
-        ]
-        values, cold, duplicates = self.exceedance.get_many(keys)
-        if cold:
-            blocks = [requests[position][0] for position in cold]
-            budgets = [requests[position][1] for position in cold]
-            computed = self.kernel.batch_probability_exceeds(
-                blocks, budgets, decimals
-            )
-            for position, value in zip(cold, computed):
-                values[position] = self.exceedance.put(keys[position], value)
-            for position, first in duplicates.items():
-                values[position] = values[first]
-        self.batch.record(rows=len(keys), cold_rows=len(cold))
-        return values
-
     def record_batch(self, rows: int, cold_rows: int) -> None:
         """Attribute one batched partition done by a consumer layer.
 
         The redundancy layer partitions whole *design-point* neighbourhoods
-        against the decision memo before any kernel is involved; its batch
-        sizes and fill rates land in the same counters as the kernel-level
-        partitions of :meth:`batch_node_exceedance`.
+        against the decision and optimization memos; its batch sizes and
+        fill rates land in :attr:`batch`.
         """
         self.batch.record(rows=rows, cold_rows=cold_rows)
 
@@ -254,7 +217,7 @@ class EvaluationEngine:
     def report(self) -> Dict[str, object]:
         """JSON-friendly summary used by the CLI and benchmark artifacts.
 
-        ``sched_kernel`` reports the process-wide scheduler-kernel selection
+        ``sched_kernel`` reports the active scheduler-kernel selection
         that computed this engine's decision-cache misses.  Like ``kernel``
         it is informational only: backends are bit-identical, so the choice
         can never affect a cached value.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -43,6 +43,7 @@ from repro.generator.benchmark import (
     build_platform,
     generate_benchmark_suite,
 )
+from repro.kernels.registry import active_kernel, active_sched_kernel, use_kernel
 from repro.scheduling.list_scheduler import ListScheduler
 
 #: The three strategies compared throughout Section 7.
@@ -274,7 +275,8 @@ def _init_worker(
     strategies: Tuple[str, ...],
     store_dir: Optional[Path],
     store_max_bytes: int,
-    single_flight: bool = False,
+    single_flight: bool,
+    kernels: Tuple[str, str],
 ) -> None:
     """Executor initializer: ship the benchmark suite once per worker.
 
@@ -282,7 +284,14 @@ def _init_worker(
     benchmark (and the shared arguments) for every task; installing the
     whole suite once per worker makes each task a ``(index, ser, hpd)``
     triple of scalars.
+
+    ``kernels`` names the parent's ``(sfp, sched)`` selection.  A
+    spawn-started worker imports the kernel tables afresh, so the worker
+    enters the same selection for its whole lifetime.
     """
+    kernel_scope = ExitStack()
+    kernel_scope.enter_context(use_kernel(sfp=kernels[0], sched=kernels[1]))
+    _WORKER_STATE["kernel_scope"] = kernel_scope
     _WORKER_STATE["benchmarks"] = list(benchmarks)
     _WORKER_STATE["preset"] = preset
     _WORKER_STATE["strategies"] = strategies
@@ -432,6 +441,7 @@ class AcceptanceExperiment:
                     self.store_dir,
                     self.store_max_bytes,
                     self.single_flight,
+                    (active_kernel().name, active_sched_kernel().name),
                 ),
             )
             self._finalizer = weakref.finalize(

@@ -127,7 +127,6 @@ class ArrayKernel(ReferenceKernel):
         "array-module DP buffers + exact integer-quanta rounding "
         "(numpy row recurrence for wide inputs)"
     )
-    priority = 10
 
     def __init__(self) -> None:
         # Scalar DP table, reused across calls (see module docstring).

@@ -9,7 +9,7 @@ formula numbering):
   complete-homogeneous-polynomial dynamic program,
 * :meth:`SFPKernel.system_failure` — the formula (5) union.
 
-The backend contract is **bit identity**: every registered kernel must return,
+The backend contract is **bit identity**: every kernel must return,
 for every input, the exact same ``float`` as the ``reference`` backend (the
 pure-Python implementation historically living in ``core/sfp.py``).  The
 rounding direction (success probabilities down, failure probabilities up, on
@@ -17,13 +17,13 @@ the decimal grid of ``decimals`` digits) is part of the paper's pessimism
 argument, so a backend is free to reorganize *how* it computes — vectorized
 buffers, integer quanta arithmetic, batched rounding — but never *what* comes
 out.  The property suite (``tests/property/test_kernel_equivalence.py``)
-cross-checks all registered backends against the reference on randomized
+cross-checks the backends against the reference on randomized
 inputs, and the golden acceptance fixtures pin the end-to-end sweep output,
 so a drifting backend cannot land silently.
 
 Kernels may keep preallocated work buffers between calls and are therefore
 **not** thread-safe; the process-parallel sweep gives each worker its own
-registry (module state is per process).
+instances (module state is per process).
 """
 
 from __future__ import annotations
@@ -36,33 +36,14 @@ from repro.utils.rounding import DEFAULT_DECIMALS
 class SFPKernel:
     """Abstract SFP kernel backend.
 
-    Subclasses set :attr:`name` (the registry/CLI identifier), a one-line
-    :attr:`description`, and :attr:`priority` (higher wins ``auto``
-    selection among available backends).
+    Subclasses set :attr:`name` (the ``--sfp-kernel`` identifier) and a
+    one-line :attr:`description`.
     """
 
-    #: Registry identifier, also accepted by ``--sfp-kernel``.
+    #: Backend name, also accepted by ``--sfp-kernel``.
     name: str = ""
     #: One-line human description shown by the CLI/benchmark artifacts.
     description: str = ""
-    #: ``auto`` selection rank; the highest-priority available kernel wins.
-    priority: int = 0
-    #: Whether :meth:`batch_probability_exceeds` is vectorized.  ``False``
-    #: means the default scalar fallback loop below; callers may use the flag
-    #: to size neighbourhoods, never for correctness (the fallback is total
-    #: and bit-identical).
-    supports_batch: bool = False
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Can this backend run in the current environment?
-
-        Backends with optional dependencies (e.g. an accelerated DP needing
-        ``numpy``) must answer honestly; unavailable backends are skipped by
-        ``auto`` selection and rejected by explicit selection with a clear
-        error.
-        """
-        return True
 
     # ------------------------------------------------------------------
     # the three SFP primitives — see core/sfp.py for formula semantics
@@ -93,22 +74,19 @@ class SFPKernel:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # batched contract — one call scores a whole neighbourhood of rows
-    # ------------------------------------------------------------------
     def batch_probability_exceeds(
         self,
         blocks: Sequence[Sequence[float]],
         reexecutions: Sequence[int],
         decimals: int = DEFAULT_DECIMALS,
     ) -> List[float]:
-        """Formula (4) for a block of rows — sibling design points at once.
+        """Formula (4) for a block of rows: one scalar call per row.
 
         ``blocks[i]`` is the ordered per-process failure-probability tuple of
         row ``i`` and ``reexecutions[i]`` its re-execution budget.  Returns
         one float per row, each bit-identical to the corresponding scalar
-        :meth:`probability_exceeds` call; the default implementation *is*
-        that scalar loop, so every backend supports the batch contract and
-        vectorizing backends (``supports_batch = True``) only change speed.
+        :meth:`probability_exceeds` call.  No DSE layer calls it; it stays
+        as the block entry point the ``perfbench`` tracer wraps by name.
         """
         return [
             self.probability_exceeds(probabilities, budget, decimals)

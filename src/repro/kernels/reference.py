@@ -24,7 +24,6 @@ class ReferenceKernel(SFPKernel):
 
     name = "reference"
     description = "pure-Python single-pass DP with Decimal rounding chains"
-    priority = 0
 
     # ------------------------------------------------------------------
     def probability_no_fault(

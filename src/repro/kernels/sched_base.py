@@ -9,7 +9,7 @@ memoizes the application's static structure — and hands the resulting
 :class:`SchedulingProblem` to the selected backend.
 
 The backend contract mirrors the SFP kernels (:mod:`repro.kernels.base`):
-**bit identity**.  Every registered scheduler kernel must return, for every
+**bit identity**.  Every scheduler kernel must return, for every
 input, a :class:`~repro.scheduling.schedule.Schedule` that is value-equal
 (``Schedule.__eq__``) to the one the ``reference`` backend produces — every
 process window, message window, recovery-slack reservation and budget, down
@@ -22,7 +22,7 @@ across kernel switches.
 
 Kernels may keep a compiled representation of the application between calls
 and are therefore **not** thread-safe; the process-parallel sweep gives each
-worker its own registry (module state is per process).
+worker its own instances (module state is per process).
 """
 
 from __future__ import annotations
@@ -79,39 +79,24 @@ class SchedulingProblem:
 class SchedulerKernel:
     """Abstract scheduler kernel backend.
 
-    Subclasses set :attr:`name` (the registry/CLI identifier), a one-line
-    :attr:`description`, and :attr:`priority` (higher wins ``auto``
-    selection among available backends).
+    Subclasses set :attr:`name` (the ``--sched-kernel`` identifier) and a
+    one-line :attr:`description`.
     """
 
-    #: Registry identifier, also accepted by ``--sched-kernel``.
+    #: Backend name, also accepted by ``--sched-kernel``.
     name: str = ""
     #: One-line human description shown by the CLI/benchmark artifacts.
     description: str = ""
-    #: ``auto`` selection rank; the highest-priority available kernel wins.
-    priority: int = 0
-    #: Whether :meth:`batch_schedule` is specialized for whole neighbourhoods.
-    #: ``False`` means the default per-problem fallback loop; the flag is a
-    #: sizing hint only — the fallback is total and bit-identical.
-    supports_batch: bool = False
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Can this backend run in the current environment?"""
-        return True
 
     def build_schedule(self, problem: SchedulingProblem) -> "Schedule":
         """Construct the root schedule (with recovery slack) for ``problem``."""
         raise NotImplementedError
 
     def batch_schedule(self, problems: List[SchedulingProblem]) -> List["Schedule"]:
-        """Construct root schedules for a block of sibling problems.
+        """Construct root schedules for a block of problems, one per call.
 
-        Rows usually share the application structure and differ only in
-        hardening / budgets / mapping deltas; specialized backends exploit
-        that (compile once, replay delta rows).  Each returned schedule must
-        be value-equal to the corresponding scalar :meth:`build_schedule`
-        call; the default implementation *is* that scalar loop.
+        Each returned schedule is the corresponding :meth:`build_schedule`
+        result, in row order.
         """
         return [self.build_schedule(problem) for problem in problems]
 

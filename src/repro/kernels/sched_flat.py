@@ -165,7 +165,6 @@ class FlatSchedulerKernel(SchedulerKernel):
 
     name = "flat"
     description = "integer-indexed tables and flat bus reservation arrays"
-    priority = 10
 
     def __init__(self) -> None:
         self._compiled: Optional[_CompiledApplication] = None

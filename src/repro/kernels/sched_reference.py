@@ -30,7 +30,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
 
     name = "reference"
     description = "per-object placement loop with Bus.reserve per message"
-    priority = 0
 
     # ------------------------------------------------------------------
     def build_schedule(self, problem: SchedulingProblem) -> Schedule:

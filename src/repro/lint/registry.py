@@ -1,11 +1,10 @@
-"""Rule registry for ``repro.lint`` — same shape as ``kernels/registry.py``.
+"""Rule registry for ``repro.lint``.
 
 Rules are classes registered under a stable id (``R001`` …); the registry
 owns one singleton instance per rule and hands out deterministic, id-sorted
-listings.  Registration happens at import time of :mod:`repro.lint.rules`,
-exactly like kernel backends registering at the bottom of their registry
-module — a rule that is not imported does not exist, so the rule set is
-always the imported code, never stale configuration.
+listings.  Registration happens at import time of :mod:`repro.lint.rules` —
+a rule that is not imported does not exist, so the rule set is always the
+imported code, never stale configuration.
 """
 
 from __future__ import annotations

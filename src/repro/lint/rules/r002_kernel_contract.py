@@ -9,7 +9,7 @@ computation may import the kernels package: a key that observes the selected
 kernel would fragment the warm store by speed knob.
 
 Checks, per class deriving (directly or transitively — stacked backends
-like ``array`` → ``batch`` inherit the contract along with the code) from a
+like ``reference`` → ``array`` inherit the contract along with the code) from a
 family base (``SFPKernel`` / ``SchedulerKernel``):
 
 * every abstract method of the base (body = ``raise NotImplementedError``)
@@ -22,15 +22,13 @@ family base (``SFPKernel`` / ``SchedulerKernel``):
 * the *batch* contract methods (``batch_probability_exceeds`` /
   ``batch_schedule``) have a total scalar fallback in the base, so they are
   not abstract — but any override must still match the base signature
-  exactly and stay implemented, and a backend declaring
-  ``supports_batch = True`` must actually provide (or inherit) a
-  specialized override rather than the inherited scalar fallback;
-* the registry attributes ``name`` (non-empty), ``description`` and
-  ``priority`` are declared on the class itself — stacked backends are
-  distinct registry entries and must not alias a parent's identity;
+  exactly and stay implemented;
+* the attributes ``name`` (non-empty) and ``description`` are declared on
+  the class itself — stacked backends are distinct table entries and must
+  not alias a parent's identity;
 * no class-level assignment binds a mutable container (list/dict/set) —
   per-instance buffers belong in ``__init__``, shared class state breaks the
-  one-registry-per-process isolation the parallel sweep relies on.
+  one-instance-per-process isolation the parallel sweep relies on.
 
 Plus, per cache-key module (``engine/fingerprint.py``, ``engine/store.py``):
 the module's runtime import closure must not contain ``repro.kernels``.
@@ -51,11 +49,11 @@ FAMILY_BASES: Tuple[str, ...] = (
     "repro.kernels.sched_base.SchedulerKernel",
 )
 
-#: Class attributes every registered backend must declare.
-REQUIRED_CLASS_ATTRS: Tuple[str, ...] = ("name", "description", "priority")
+#: Class attributes every backend must declare.
+REQUIRED_CLASS_ATTRS: Tuple[str, ...] = ("name", "description")
 
 #: Non-abstract batch entry point per family base: total scalar fallback in
-#: the base, exact-signature override required of vectorizing backends.
+#: the base, exact-signature override required of any backend overriding it.
 BATCH_CONTRACT_METHODS: Dict[str, str] = {
     "repro.kernels.base.SFPKernel": "batch_probability_exceeds",
     "repro.kernels.sched_base.SchedulerKernel": "batch_schedule",
@@ -140,13 +138,12 @@ class KernelContractRule(LintRule):
                     f"backend {subclass.name}.{method_name}() signature "
                     f"drifts from {base.name}: {mismatch}",
                 )
-        yield from self._check_batch_contract(project, module, subclass, base)
+        yield from self._check_batch_contract(module, subclass, base)
         yield from self._check_class_attrs(module, subclass)
         yield from self._check_mutable_state(module, subclass)
 
     def _check_batch_contract(
         self,
-        project: Project,
         module: LintModule,
         subclass: ClassInfo,
         base: ClassInfo,
@@ -155,45 +152,27 @@ class KernelContractRule(LintRule):
         if batch_name is None or batch_name not in base.methods:
             return
         override = subclass.methods.get(batch_name)
-        if override is not None:
-            if _still_abstract(override.node):
-                yield self._violation(
-                    module,
-                    subclass,
-                    override.node,
-                    f"backend {subclass.name}.{batch_name}() raises "
-                    f"NotImplementedError — the batch contract is total; "
-                    f"inherit the scalar fallback instead of disabling it",
-                )
-            else:
-                mismatch = _signature_mismatch(
-                    base.methods[batch_name].node, override.node
-                )
-                if mismatch is not None:
-                    yield self._violation(
-                        module,
-                        subclass,
-                        override.node,
-                        f"backend {subclass.name}.{batch_name}() signature "
-                        f"drifts from {base.name}: {mismatch}",
-                    )
-        declared = _class_level_assignments(subclass.node).get("supports_batch")
-        if (
-            isinstance(declared, ast.Constant)
-            and declared.value is True
-        ):
-            owner, implementation = _resolve_method(
-                project, subclass, base, batch_name
+        if override is None:
+            return
+        if _still_abstract(override.node):
+            yield self._violation(
+                module,
+                subclass,
+                override.node,
+                f"backend {subclass.name}.{batch_name}() raises "
+                f"NotImplementedError — the batch contract is total; "
+                f"inherit the scalar fallback instead of disabling it",
             )
-            if implementation is None:
-                yield self._violation(
-                    module,
-                    subclass,
-                    subclass.node,
-                    f"backend {subclass.name} declares supports_batch = True "
-                    f"but inherits the scalar fallback {batch_name}() — a "
-                    f"vectorizing backend must override it",
-                )
+            return
+        mismatch = _signature_mismatch(base.methods[batch_name].node, override.node)
+        if mismatch is not None:
+            yield self._violation(
+                module,
+                subclass,
+                override.node,
+                f"backend {subclass.name}.{batch_name}() signature "
+                f"drifts from {base.name}: {mismatch}",
+            )
 
     def _check_class_attrs(
         self, module: LintModule, subclass: ClassInfo
@@ -205,8 +184,8 @@ class KernelContractRule(LintRule):
                     module,
                     subclass,
                     subclass.node,
-                    f"backend {subclass.name} must declare the registry "
-                    f"attribute {attr!r}",
+                    f"backend {subclass.name} must declare the attribute "
+                    f"{attr!r}",
                 )
                 continue
             value = declared[attr]
@@ -216,8 +195,7 @@ class KernelContractRule(LintRule):
                         module,
                         subclass,
                         value,
-                        f"backend {subclass.name} declares an empty registry "
-                        f"name",
+                        f"backend {subclass.name} declares an empty name",
                     )
 
     def _check_mutable_state(
@@ -305,8 +283,8 @@ def _derives_from(
 def _subclasses_of(project: Project, base: ClassInfo) -> List[ClassInfo]:
     """All project classes deriving from ``base``, directly or transitively.
 
-    Stacked backends (``batch`` on top of ``array`` on top of ``reference``)
-    inherit the family contract through intermediate classes, so a
+    Stacked backends (``array`` on top of ``reference``) inherit the
+    family contract through intermediate classes, so a
     direct-bases-only scan would silently exempt exactly the backends most
     likely to drift.
     """

@@ -24,9 +24,9 @@ The root-schedule construction itself (priorities, layer placement, bus
 reservation, recovery slack) runs in a pluggable *scheduler kernel backend*
 (:mod:`repro.kernels.sched_base`): ``reference`` is the per-object loop this
 class historically inlined, ``flat`` compiles the application into
-integer-indexed tables.  All backends are bit-identical — selection
-(``--sched-kernel`` / ``REPRO_SCHED_KERNEL`` / ``auto``) is a speed knob
-only and never part of an evaluation-engine cache key.
+integer-indexed tables (the default).  Both backends are bit-identical —
+selection (``--sched-kernel``) is a speed knob only and never part of an
+evaluation-engine cache key.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.kernels.sched_base import (
 )
 from repro.scheduling.schedule import Schedule
 
-#: Accepted ``kernel=`` selections: an instance, a registered name or ``None``.
+#: Accepted ``kernel=`` selections: an instance, a backend name or ``None``.
 SchedulerKernelSpec = Union[SchedulerKernel, str, None]
 
 
@@ -66,8 +66,8 @@ class ListScheduler:
         naive per-process slack is reserved instead (ablation baseline).
     kernel:
         Scheduler kernel backend running the root-schedule construction (an
-        instance, a registered name, or ``None`` for the process-wide
-        selection).  A speed knob only: every backend is bit-identical.
+        instance, a backend name, or ``None`` for the active selection).
+        A speed knob only: both backends are bit-identical.
     """
 
     def __init__(
@@ -182,10 +182,8 @@ class ListScheduler:
         row (mapping validity depends on the row's hardening levels via the
         profile), the static application structure is derived once, and the
         kernel receives the whole block through
-        :meth:`~repro.kernels.sched_base.SchedulerKernel.batch_schedule` —
-        vectorizing backends amortize their compiled tables across the rows,
-        every other backend falls back to the scalar loop.  Row order is
-        preserved and results are bit-identical to sequential
+        :meth:`~repro.kernels.sched_base.SchedulerKernel.batch_schedule`.
+        Row order is preserved and results are bit-identical to sequential
         :meth:`schedule` calls.
         """
         structure = self._application_structure(application)

@@ -213,7 +213,10 @@ class ServeApp:
             for line in lines:
                 writer.write(line)
                 if _is_terminal(line):
+                    # A timed-out job's worker keeps running and may append
+                    # progress after the terminal event; the stream ends here.
                     finished = True
+                    break
             await writer.drain()
             if finished:
                 return

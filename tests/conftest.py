@@ -23,10 +23,9 @@ from repro.kernels import use_kernel
 def _kernel_selection_guard():
     """Snapshot/restore both kernel families' process selection per test.
 
-    A test that pins a kernel (through the deprecated global setters, a
-    Session, or ``use_kernel``) and then fails must not leak its selection
-    into later tests; ``use_kernel()`` with no arguments is exactly that
-    exception-safe snapshot/restore guard.
+    A test that pins a kernel (through a Session or ``use_kernel``) and then
+    fails must not leak its selection into later tests; ``use_kernel()``
+    with no arguments is exactly that exception-safe snapshot/restore guard.
     """
     with use_kernel():
         yield

@@ -1,8 +1,8 @@
-"""API ↔ legacy CLI ↔ golden-fixture equivalence (the PR acceptance gate).
+"""API ↔ CLI ↔ golden-fixture equivalence.
 
-``api.run("fig6a", RunConfig(preset="fast"))`` and the legacy
-``repro-ftes synthetic --figure 6a --preset fast`` must produce identical
-results payloads, both matching the checked-in golden fixture exactly.
+``api.run("fig6a", RunConfig(preset="fast"))`` and
+``repro-ftes run fig6a --preset fast`` must produce results payloads that
+match the checked-in golden fixture exactly.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ def test_synthetic_random_smoke_matches_the_golden_fixture():
         api.RunConfig(preset="smoke", scenario_params={"n_processes": 10, "seed": 3}),
     )
     assert report.results == _load("synthetic_random_smoke.json")
-
-
-def test_legacy_cli_and_api_produce_identical_payloads(fig6a_report, tmp_path, capsys):
-    output = tmp_path / "legacy_fig6a.json"
-    with pytest.warns(DeprecationWarning):
-        exit_code = main(
-            ["synthetic", "--figure", "6a", "--preset", "fast",
-             "--output", str(output)]
-        )
-    capsys.readouterr()  # swallow the rendered tables
-    assert exit_code == 0
-    legacy = json.loads(output.read_text(encoding="utf-8"))
-    golden = _load("fig6a_fast.json")
-    assert legacy["6a"] == golden["acceptance"]
-    assert legacy["6a"] == fig6a_report.results["acceptance"]
 
 
 def test_generic_run_driver_writes_a_golden_matching_report(tmp_path, capsys):

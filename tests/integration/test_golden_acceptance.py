@@ -5,7 +5,9 @@ percentages of the fast preset.  Kernel backends, engine caching, the
 persistent store and parallelism are all required to be bit-identical
 transformations — so *any* drift in these fixtures is a correctness bug, not
 noise, and the diff in the failure message names the exact setting that
-moved.  Regenerate deliberately (only when the experiment definition itself
+moved.  Both figures run under the default kernel pair and under the
+``reference`` pair, so each backend of both families is held to the same
+fixtures.  Regenerate deliberately (only when the experiment definition itself
 changes) by rerunning the sweep and rewriting the JSON.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.experiments.synthetic import (
     figure_6a_hpd_sweep,
     figure_6b_cost_table,
 )
+from repro.kernels import use_kernel
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -32,10 +36,19 @@ def _load(name: str) -> dict:
         return json.load(handle)
 
 
-@pytest.fixture(scope="module")
-def fast_experiment() -> AcceptanceExperiment:
-    """One fast-preset experiment shared by both figures (same settings)."""
-    return AcceptanceExperiment(preset=ExperimentPreset.fast())
+#: Kernel pairs the figures are checked under: the defaults and the oracles.
+KERNEL_PAIRS = {
+    "default": {},
+    "reference": {"sfp": "reference", "sched": "reference"},
+}
+
+
+@pytest.fixture(scope="module", params=list(KERNEL_PAIRS))
+def fast_experiment(request) -> Iterator[AcceptanceExperiment]:
+    """One fast-preset experiment per kernel pair, shared by both figures
+    (same settings); the pair stays selected while the figures compute."""
+    with use_kernel(**KERNEL_PAIRS[request.param]):
+        yield AcceptanceExperiment(preset=ExperimentPreset.fast())
 
 
 def test_fig6a_acceptance_matches_golden(fast_experiment):

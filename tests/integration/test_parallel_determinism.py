@@ -4,11 +4,18 @@ The experiment harness promises that worker processes are an implementation
 detail: same seed, same preset → identical :class:`DesignResult`s, identical
 acceptance percentages and identical rendered (golden) output, regardless of
 ``n_jobs``.  Worker processes inherit no engine state (caches are per
-process) and resolve their kernel backend independently, so this also guards
-the kernel registry's behaviour under ``ProcessPoolExecutor`` pickling.
+process) and enter the parent's kernel selection in their pool initializer,
+also when they are spawned rather than forked.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,9 @@ from repro.experiments.synthetic import (
     ExperimentPreset,
     render_hpd_sweep,
 )
+from repro.kernels import use_kernel
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 HPD_VALUES = (5.0, 100.0)
 
@@ -61,38 +71,60 @@ def test_rendered_golden_output_identical(serial, parallel):
     )
 
 
-def test_batch_kernels_parallel_sweep_identical(serial, monkeypatch):
-    """The batched kernel pair under ``n_jobs=2`` reproduces the default
-    serial results bit for bit — batching and worker processes are both
-    implementation details.  Selection goes through the environment so
-    spawned workers resolve the same backends as the parent."""
-    monkeypatch.setenv("REPRO_SFP_KERNEL", "batch")
-    monkeypatch.setenv("REPRO_SCHED_KERNEL", "batch")
-    batched = _run(n_jobs=2)
-    assert batched[0] == serial[0]
-    for setting_batched, setting_serial in zip(batched[1], serial[1]):
-        assert setting_batched.results == setting_serial.results
-    # The batched run actually batched: rows flowed through the partitioned
-    # lookups and a nonzero residual reached the batch kernels.
-    summary_totals = [setting.cache_summary() for setting in batched[1]]
-    assert sum(summary["batch_rows"] for summary in summary_totals) > 0
-    assert sum(summary["batch_cold_rows"] for summary in summary_totals) > 0
-    # Search effort and computed points are caching/batching-invariant.
-    for setting_batched, setting_serial in zip(batched[1], serial[1]):
-        batched_summary = setting_batched.cache_summary()
-        serial_summary = setting_serial.cache_summary()
-        assert (
-            batched_summary["search_evaluations"]
-            == serial_summary["search_evaluations"]
+def test_reference_kernels_parallel_sweep_identical(serial):
+    """The reference kernel pair under ``n_jobs=2`` reproduces the default
+    serial results bit for bit, with identical work counters: kernel choice
+    and worker processes are both implementation details."""
+    with use_kernel(sfp="reference", sched="reference"):
+        reference = _run(n_jobs=2)
+    assert reference[0] == serial[0]
+    for setting_reference, setting_serial in zip(reference[1], serial[1]):
+        assert setting_reference.results == setting_serial.results
+        assert setting_reference.cache_summary() == setting_serial.cache_summary()
+
+
+#: Runs a smoke sweep on two spawn-started workers inside a reference-pair
+#: Session, then asks each worker which kernels it has active.
+_SPAWN_PROBE = textwrap.dedent(
+    """
+    import json
+    import multiprocessing
+
+    from repro.api import RunConfig, Session
+    from repro.kernels import active_kernel, active_sched_kernel
+
+
+    def probe(_):
+        return active_kernel().name, active_sched_kernel().name
+
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        config = RunConfig(
+            preset="smoke", sfp_kernel="reference", sched_kernel="reference", jobs=2
         )
-        assert (
-            batched_summary["points_computed"]
-            == serial_summary["points_computed"]
-        )
-        # The partitioned lookups issue the same key sequence the scalar
-        # path issues, so even the hit/miss totals line up exactly.
-        assert batched_summary["hits"] == serial_summary["hits"]
-        assert batched_summary["misses"] == serial_summary["misses"]
+        with Session(config) as session:
+            report = session.run("fig6a")
+            workers = sorted(set(session.experiment()._pool().map(probe, range(8))))
+        print(json.dumps({"report": report.kernels, "workers": workers}))
+    """
+)
+
+
+def test_spawned_workers_run_the_sessions_kernels(tmp_path):
+    script = tmp_path / "spawn_probe.py"
+    script.write_text(_SPAWN_PROBE, encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+    )
+    observed = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert observed["report"] == {"sfp": "reference", "sched": "reference"}
+    assert observed["workers"] == [["reference", "reference"]]
 
 
 def test_parallel_run_with_store_stays_identical(tmp_path, serial):

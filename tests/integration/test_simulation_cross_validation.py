@@ -18,14 +18,14 @@ from repro.core.mapping import MappingAlgorithm
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import build_platform, generate_benchmark_suite
-from repro.kernels import get_kernel, kernel_names
+from repro.kernels import SFP_KERNELS, get_kernel
 from repro.simulation.fault_simulator import FaultScenarioSimulator
 
 #: High enough error rate that a 20k-iteration campaign observes faults.
 SER = 3e-9
 HPD = 25.0
 
-KERNELS = kernel_names(available_only=True)
+KERNELS = list(SFP_KERNELS)
 
 
 @pytest.fixture(scope="module")

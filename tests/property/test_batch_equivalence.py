@@ -2,19 +2,13 @@
 
 The batch entry points — ``SFPKernel.batch_probability_exceeds`` and
 ``SchedulerKernel.batch_schedule`` — must return, for every block of rows,
-exactly the values the scalar entry points return row by row.  This is what
-lets the evaluation engine hand whole neighbourhoods to a vectorizing
-backend without batching ever becoming a semantics knob: results, cached
-entries and golden fixtures are identical whether a design point was scored
-alone or inside a block.
+exactly the values the scalar entry points return row by row, so batching is
+never a semantics knob: results, cached entries and golden fixtures are
+identical whether a design point was scored alone or inside a block.
 
-Every registered backend is swept — backends without ``supports_batch``
-exercise the scalar fallback loop inherited from the family base, the
-``batch`` backends exercise the vectorized block pass (padded-row packing,
-column-major DP, per-slot table replay).  Blocks include ragged rows, empty
+Both backends of each family are swept.  Blocks include ragged rows, empty
 rows, duplicate rows, degenerate one-row batches and the empty batch;
-rounding accuracies cross the array backend's integer-quanta cutoff so the
-batch backend's own scalar fallback path is hit too.
+rounding accuracies cross the array backend's integer-quanta cutoff.
 
 Equality is asserted with exact ``==`` on purpose — close is not a thing
 here.
@@ -32,19 +26,14 @@ from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.kernels import (
-    get_kernel,
-    get_sched_kernel,
-    kernel_names,
-    sched_kernel_names,
-)
+from repro.kernels import SCHED_KERNELS, SFP_KERNELS, get_kernel
 from repro.kernels.array_backend import MAX_FAST_DECIMALS
 from repro.scheduling.list_scheduler import ListScheduler
 
 SFP_REFERENCE = get_kernel("reference")
 
-ALL_SFP = kernel_names(available_only=True)
-ALL_SCHED = sched_kernel_names(available_only=True)
+ALL_SFP = list(SFP_KERNELS)
+ALL_SCHED = list(SCHED_KERNELS)
 
 DECIMALS = st.sampled_from([2, 5, 11, MAX_FAST_DECIMALS, MAX_FAST_DECIMALS + 3])
 
@@ -62,8 +51,6 @@ def sfp_batches(draw):
     Duplicate rows are provoked on purpose (a drawn row may be repeated) —
     within one batch they must come out identical to their first occurrence.
     """
-    # Spans the batch backend's MIN_VECTOR_ROWS cutoff: small blocks take
-    # the scalar fallback, larger ones the vectorized padded-block pass.
     n_rows = draw(
         st.one_of(
             st.integers(min_value=0, max_value=8),
@@ -122,14 +109,12 @@ def test_empty_batch_returns_empty(name):
 @pytest.mark.parametrize("name", ALL_SFP)
 def test_batch_raises_the_scalar_validation_error(name):
     """Bad rows fail with the scalar path's exception (negative budget,
-    out-of-range probability) — the vectorized pass must not swallow them."""
+    out-of-range probability), also deep inside a wide block."""
     kernel = get_kernel(name)
     with pytest.raises(ModelError):
         kernel.batch_probability_exceeds([[0.1], [0.2]], [1, -1])
     with pytest.raises(ValueError):
         kernel.batch_probability_exceeds([[0.1], [1.5]], [1, 1])
-    # Wide enough for the vectorized pass: the range check must still route
-    # the bad row through the scalar loop's exact per-row error.
     wide = [[0.1]] * 19 + [[1.5]]
     with pytest.raises(ValueError):
         kernel.batch_probability_exceeds(wide, [1] * 20)
@@ -262,7 +247,7 @@ def test_batch_schedule_rowwise_identical(name, problem):
 @settings(max_examples=30, deadline=None)
 def test_batch_then_scalar_reuse_stays_identical(name, problem):
     """A scalar call after a batch on the same scheduler instance must not
-    see stale per-mapping tables (the batch memo widening is batch-local)."""
+    see stale per-mapping tables."""
     application, rows, profile, slack_sharing, make_bus = problem
     scheduler = ListScheduler(
         bus=make_bus(), slack_sharing=slack_sharing, kernel=name

@@ -1,10 +1,10 @@
 """Bit-identity property suite for the pluggable SFP kernel backends.
 
-Every registered backend must return, for every input, the exact float the
+Every backend must return, for every input, the exact float the
 ``reference`` backend returns — this is the contract that makes kernel
 selection a pure speed knob and keeps memoized/persisted design points valid
 across backends.  Hypothesis drives randomized probability tuples, budgets
-and rounding accuracies through every registered backend, including:
+and rounding accuracies through every backend, including:
 
 * the decimal accuracies on both sides of the array backend's integer-quanta
   cutoff (``MAX_FAST_DECIMALS``), so the fallback path is exercised;
@@ -23,16 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import ModelError
-from repro.kernels import get_kernel, kernel_names
+from repro.kernels import SFP_KERNELS, get_kernel
 from repro.kernels.array_backend import MAX_FAST_DECIMALS, NUMPY_MIN_WIDTH
 from repro.kernels.reference import ReferenceKernel
 
 REFERENCE = get_kernel("reference")
 
 #: All non-reference backends (the property is trivially true for reference).
-OTHER_KERNELS = [
-    name for name in kernel_names(available_only=True) if name != "reference"
-]
+OTHER_KERNELS = [name for name in SFP_KERNELS if name != "reference"]
 
 #: Rounding accuracies: the paper's 11, coarse grids, the fast-path cutoff
 #: and one value beyond it (exercising the Decimal fallback).
@@ -100,13 +98,13 @@ def test_system_failure_bit_identical(name, exceedances, decimals):
     assert kernel.system_failure(exceedances, decimals) == expected
 
 
-@pytest.mark.parametrize("name", kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SFP_KERNELS))
 def test_negative_budget_rejected(name):
     with pytest.raises(ModelError):
         get_kernel(name).probability_exceeds([0.1], -1)
 
 
-@pytest.mark.parametrize("name", kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SFP_KERNELS))
 def test_out_of_range_probability_rejected(name):
     kernel = get_kernel(name)
     with pytest.raises(ValueError):

@@ -1,13 +1,13 @@
 """Bit-identity property suite for the pluggable scheduler kernel backends.
 
-Every registered scheduler backend must return, for every input, a
+Every scheduler backend must return, for every input, a
 ``Schedule`` that is value-equal (``Schedule.__eq__`` — every process window,
 message window, recovery-slack reservation, budget and hardening level, down
 to the last float bit) to the one the ``reference`` backend produces.  This
 is the contract that makes ``--sched-kernel`` a pure speed knob and keeps
 memoized/persisted design points valid across backends.
 
-Hypothesis drives randomized problems through every registered backend:
+Hypothesis drives randomized problems through every backend:
 
 * random DAGs (not just chains) with random WCETs, transmission times and
   recovery overheads, mapped arbitrarily onto 2-3 nodes with mixed hardening
@@ -37,16 +37,14 @@ from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.kernels import get_sched_kernel, sched_kernel_names
+from repro.kernels import SCHED_KERNELS, get_sched_kernel
 from repro.kernels.sched_reference import ReferenceSchedulerKernel
 from repro.scheduling.list_scheduler import ListScheduler
 
 REFERENCE = get_sched_kernel("reference")
 
 #: All non-reference backends (the property is trivially true for reference).
-OTHER_KERNELS = [
-    name for name in sched_kernel_names(available_only=True) if name != "reference"
-]
+OTHER_KERNELS = [name for name in SCHED_KERNELS if name != "reference"]
 
 NODE_NAMES = ("NA", "NB", "NC")
 
@@ -230,7 +228,7 @@ def test_message_exactly_filling_tdma_slot(name):
     assert entry.start % 8.0 == 0.0
 
 
-@pytest.mark.parametrize("name", sched_kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SCHED_KERNELS))
 def test_oversized_tdma_message_rejected_identically(name):
     from repro.core.exceptions import SchedulingError
 

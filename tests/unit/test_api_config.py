@@ -1,8 +1,8 @@
-"""RunConfig: validation, serialization, and the documented resolution order.
+"""RunConfig: validation and serialization.
 
-The resolution order — explicit config field > environment variable > auto —
-is the contract replacing the old flag/env/global-default plumbing; these
-tests pin it for both kernel families.
+Kernel names are validated when the config is built: only the two backends
+of each family are accepted, so a typo fails at construction instead of at
+run time.
 """
 
 from __future__ import annotations
@@ -14,48 +14,29 @@ import pytest
 from repro.api import RunConfig
 from repro.core.exceptions import ModelError
 from repro.experiments.synthetic import ExperimentPreset
-from repro.kernels import KERNEL_ENV_VAR, SCHED_KERNEL_ENV_VAR
 
 
-@pytest.fixture(autouse=True)
-def _no_env(monkeypatch):
-    """Resolution tests control the env vars explicitly."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
+class TestKernelNames:
+    @pytest.mark.parametrize(
+        "sfp, sched", [(None, None), ("array", "flat"), ("reference", "reference")]
+    )
+    def test_known_names_are_accepted(self, sfp, sched):
+        config = RunConfig(sfp_kernel=sfp, sched_kernel=sched)
+        assert (config.sfp_kernel, config.sched_kernel) == (sfp, sched)
 
-
-class TestResolutionOrder:
-    def test_explicit_arg_beats_env_sfp(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "array")
-        config = RunConfig(sfp_kernel="reference")
-        assert config.resolved_sfp_kernel() == "reference"
-
-    def test_explicit_arg_beats_env_sched(self, monkeypatch):
-        monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "flat")
-        config = RunConfig(sched_kernel="reference")
-        assert config.resolved_sched_kernel() == "reference"
-
-    def test_env_beats_auto_sfp(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert RunConfig().resolved_sfp_kernel() == "reference"
-
-    def test_env_beats_auto_sched(self, monkeypatch):
-        monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-        assert RunConfig().resolved_sched_kernel() == "reference"
-
-    def test_auto_when_nothing_is_set(self):
-        # auto resolves to the fastest available backend of each family.
-        assert RunConfig().resolved_sfp_kernel() == "array"
-        assert RunConfig().resolved_sched_kernel() == "flat"
-
-    def test_explicit_auto_resolves_to_a_concrete_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        # An explicit "auto" is still an explicit selection: it bypasses env.
-        assert RunConfig(sfp_kernel="auto").resolved_sfp_kernel() == "array"
-
-    def test_unknown_kernel_name_is_rejected_at_resolution(self):
+    @pytest.mark.parametrize("name", ["auto", "batch", "no-such-backend", "flat"])
+    def test_unknown_sfp_kernel_is_rejected_at_construction(self, name):
         with pytest.raises(ModelError, match="Unknown SFP kernel"):
-            RunConfig(sfp_kernel="no-such-backend").resolved_sfp_kernel()
+            RunConfig(sfp_kernel=name)
+
+    @pytest.mark.parametrize("name", ["auto", "batch", "no-such-backend", "array"])
+    def test_unknown_sched_kernel_is_rejected_at_construction(self, name):
+        with pytest.raises(ModelError, match="Unknown scheduler kernel"):
+            RunConfig(sched_kernel=name)
+
+    def test_from_dict_rejects_auto(self):
+        with pytest.raises(ModelError, match="Unknown SFP kernel"):
+            RunConfig.from_dict({"sfp_kernel": "auto"})
 
 
 class TestValidation:

@@ -9,20 +9,37 @@ from repro.api.registry import ScenarioOutcome, register_scenario
 from repro.core.exceptions import ModelError
 from repro.engine.store import DesignPointStore
 from repro.experiments.motivational import fig1_application, fig1_profile
-from repro.kernels import (
-    KERNEL_ENV_VAR,
-    SCHED_KERNEL_ENV_VAR,
-    active_kernel,
-    active_sched_kernel,
-)
+from repro.kernels import active_kernel, active_sched_kernel, use_kernel
 
 from tests.conftest import FIG1_MAPPINGS, fig1_optimize
 
 
-@pytest.fixture(autouse=True)
-def _no_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
+class TestResolutionOrder:
+    """An explicit config name beats the enclosing scope, which beats the
+    family default; ``None`` leaves the enclosing selection in place."""
+
+    def test_default_when_nothing_is_set(self):
+        with Session(RunConfig()):
+            assert active_kernel().name == "array"
+            assert active_sched_kernel().name == "flat"
+
+    def test_explicit_name_beats_enclosing_scope_sfp(self):
+        with use_kernel(sfp="array"):
+            with Session(RunConfig(sfp_kernel="reference")):
+                assert active_kernel().name == "reference"
+            assert active_kernel().name == "array"
+
+    def test_explicit_name_beats_enclosing_scope_sched(self):
+        with use_kernel(sched="flat"):
+            with Session(RunConfig(sched_kernel="reference")):
+                assert active_sched_kernel().name == "reference"
+            assert active_sched_kernel().name == "flat"
+
+    def test_none_keeps_the_enclosing_scope(self):
+        with use_kernel(sfp="reference", sched="reference"):
+            with Session(RunConfig()):
+                assert active_kernel().name == "reference"
+                assert active_sched_kernel().name == "reference"
 
 
 class TestKernelScope:

@@ -1,4 +1,4 @@
-"""Unit tests for the command-line interface (generic driver + legacy shims)."""
+"""Unit tests for the command-line interface (generic driver, serve, lint)."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-
-# The legacy subcommands under test are deprecated on purpose; emission of
-# the warning itself is asserted in tests/unit/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestParser:
@@ -23,14 +19,20 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["run", "fig6a"]).scenario == "fig6a"
         assert parser.parse_args(["run", "--list"]).list_scenarios
-        assert parser.parse_args(["motivational"]).command == "motivational"
-        assert parser.parse_args(["synthetic", "--figure", "6c"]).figure == "6c"
-        assert parser.parse_args(["cruise-control"]).command == "cruise-control"
 
-    def test_unknown_figure_rejected(self):
-        parser = build_parser()
+    @pytest.mark.parametrize("command", ["motivational", "synthetic", "cruise-control"])
+    def test_scenarios_are_not_subcommands(self, command):
         with pytest.raises(SystemExit):
-            parser.parse_args(["synthetic", "--figure", "7"])
+            build_parser().parse_args([command])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sfp-kernel", "auto"], ["--sfp-kernel", "batch"],
+         ["--sched-kernel", "auto"], ["--sched-kernel", "batch"]],
+    )
+    def test_only_the_two_backends_per_family_are_choices(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig6a", *flags])
 
     def test_run_accepts_config_flags(self):
         arguments = build_parser().parse_args(
@@ -142,9 +144,9 @@ class TestRunCommand:
         assert "acceptance" in report["results"]
 
 
-class TestMotivationalCommand:
+class TestMotivationalScenario:
     def test_prints_fig3_and_fig4_tables(self, capsys):
-        exit_code = main(["motivational"])
+        exit_code = main(["run", "motivational"])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Fig. 3" in captured
@@ -154,24 +156,15 @@ class TestMotivationalCommand:
 
     def test_writes_json_output(self, tmp_path, capsys):
         output = tmp_path / "motivational.json"
-        exit_code = main(["motivational", "--output", str(output)])
+        exit_code = main(["run", "motivational", "--output", str(output)])
         assert exit_code == 0
-        payload = json.loads(output.read_text(encoding="utf-8"))
+        payload = json.loads(output.read_text(encoding="utf-8"))["results"]
         assert "fig3" in payload and "fig4" in payload and "appendix" in payload
 
 
-class TestSyntheticCommand:
-    def test_smoke_preset_runs_figure_6a(self, capsys):
-        exit_code = main(["synthetic", "--figure", "6a", "--preset", "smoke"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "Fig. 6a" in captured
-        assert "MIN" in captured and "OPT" in captured
-
-
-class TestCruiseControlCommand:
+class TestCruiseControlScenario:
     def test_prints_study_table(self, capsys):
-        exit_code = main(["cruise-control"])
+        exit_code = main(["run", "cruise-control"])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Cruise controller" in captured

@@ -1,117 +1,19 @@
-"""Engine batch partitioning: batched lookups ≡ sequential, counters included.
+"""Batch partitioning of memo lookups: ``MemoCache.get_many`` and ``BatchStats``.
 
-``EvaluationEngine.batch_node_exceedance`` partitions a block of
-(probabilities, budget) rows against the exceedance memo and hands only the
-residual cold rows to the kernel.  The contract — asserted here under
-hypothesis-driven mixes of memo hits, preloaded (store) hits, cold rows and
-intra-batch duplicates — is that the returned values *and every cache
-counter* (hits, misses, disk hits) are bit-identical to issuing the rows as
-sequential scalar calls on a twin engine.  ``get_many``'s duplicate handling
-is pinned separately: later occurrences of an uncached key count as hits,
-exactly as the scalar loop (which computes and stores before the next
-lookup) would count them.
+``get_many``'s duplicate handling is pinned here: later occurrences of an
+uncached key count as hits, exactly as the scalar loop (which computes and
+stores before the next lookup) would count them.
 """
 
 from __future__ import annotations
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import EvaluationEngine, MISS, MemoCache
 from repro.engine.cache import BatchStats
 from repro.experiments.motivational import fig1_application, fig1_profile
 
-#: A small tuple pool so batches mix repeats (memo hits / duplicates) with
-#: fresh rows at high probability.
-TUPLE_POOL = (
-    (),
-    (0.1,),
-    (0.2, 0.3),
-    (1e-5, 2e-5, 3e-5),
-    (0.5, 0.5),
-    (0.25, 0.125, 0.0625, 0.03125),
-)
 
-REQUEST = st.tuples(
-    st.sampled_from(TUPLE_POOL), st.integers(min_value=0, max_value=4)
-)
-
-
-def _twin_engines():
-    application, profile = fig1_application(), fig1_profile()
-    return (
-        EvaluationEngine(application, profile),
-        EvaluationEngine(application, profile),
-    )
-
-
-def _counters(engine):
-    return (
-        engine.exceedance.hits,
-        engine.exceedance.misses,
-        engine.exceedance.disk_hits,
-        len(engine.exceedance),
-    )
-
-
-class TestBatchNodeExceedance:
-    @given(
-        warm=st.lists(REQUEST, max_size=6),
-        preloaded=st.lists(REQUEST, max_size=4),
-        batch=st.lists(REQUEST, max_size=12),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_sequential_with_identical_counters(
-        self, warm, preloaded, batch
-    ):
-        """Any memo-hit / store-hit / cold / duplicate mix is equivalent."""
-        batched_engine, scalar_engine = _twin_engines()
-        for engine in (batched_engine, scalar_engine):
-            # Store hits: preloaded entries count disk_hits on first touch.
-            engine.exceedance.load(
-                {
-                    (probabilities, budget, engine.decimals): 0.123
-                    for probabilities, budget in preloaded
-                }
-            )
-            # Memo hits: warm a subset through the scalar path on both twins.
-            for probabilities, budget in warm:
-                engine.node_exceedance(probabilities, budget, engine.decimals)
-
-        expected = [
-            scalar_engine.node_exceedance(
-                probabilities, budget, scalar_engine.decimals
-            )
-            for probabilities, budget in batch
-        ]
-        produced = batched_engine.batch_node_exceedance(
-            batch, batched_engine.decimals
-        )
-        assert produced == expected
-        assert _counters(batched_engine) == _counters(scalar_engine)
-        assert batched_engine.batch.calls == 1
-        assert batched_engine.batch.rows == len(batch)
-        assert scalar_engine.batch.rows == 0
-
-    @given(batch=st.lists(REQUEST, max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_repeated_batch_is_all_hits(self, batch):
-        engine, _ = _twin_engines()
-        first = engine.batch_node_exceedance(batch, engine.decimals)
-        misses_after_first = engine.exceedance.misses
-        second = engine.batch_node_exceedance(batch, engine.decimals)
-        assert second == first
-        assert engine.exceedance.misses == misses_after_first
-        assert engine.batch.calls == 2
-        assert engine.batch.cold_rows <= engine.batch.rows
-
-    def test_empty_batch(self):
-        engine, _ = _twin_engines()
-        assert engine.batch_node_exceedance([], engine.decimals) == []
-        assert engine.batch.calls == 1
-        assert engine.batch.rows == 0
-        assert engine.batch.fill_rate == 0.0
+def _engine():
+    return EvaluationEngine(fig1_application(), fig1_profile())
 
 
 class TestGetMany:
@@ -165,7 +67,7 @@ class TestBatchStats:
         }
 
     def test_engine_report_includes_batch(self):
-        engine, _ = _twin_engines()
+        engine = _engine()
         engine.record_batch(rows=8, cold_rows=2)
         report = engine.report()
         assert report["batch"] == {
@@ -174,17 +76,3 @@ class TestBatchStats:
             "cold_rows": 2,
             "fill_rate": 0.25,
         }
-
-
-@pytest.mark.parametrize("family_auto", ["array", "flat"])
-def test_auto_selection_still_prefers_scalar_fast_backends(family_auto):
-    """``batch`` is opt-in by name: auto must keep picking array/flat."""
-    from repro.kernels import kernel_names, sched_kernel_names
-
-    names = (
-        kernel_names(available_only=True)
-        if family_auto == "array"
-        else sched_kernel_names(available_only=True)
-    )
-    assert names[0] == family_auto
-    assert "batch" in names

@@ -1,85 +1,59 @@
-"""Kernel registry behaviour: selection precedence, errors, known values."""
+"""Kernel tables and selection: lookup, scoping, errors, known values."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.comm.bus import SimpleBus
 from repro.core.exceptions import ModelError
 from repro.kernels import (
-    AUTO,
-    KERNEL_ENV_VAR,
+    DEFAULT_SCHED_KERNEL,
+    DEFAULT_SFP_KERNEL,
+    SCHED_KERNELS,
+    SFP_KERNELS,
     ArrayKernel,
+    FlatSchedulerKernel,
     ReferenceKernel,
+    ReferenceSchedulerKernel,
+    SchedulerKernel,
     SFPKernel,
     active_kernel,
+    active_sched_kernel,
     get_kernel,
-    kernel_names,
+    get_sched_kernel,
     resolve_kernel,
-    set_default_kernel,
+    resolve_sched_kernel,
+    use_kernel,
 )
-from repro.kernels import registry as registry_module
-
-# Several tests exercise the deprecated ``set_default_*`` shims on purpose;
-# their DeprecationWarnings are expected (emission itself is covered by
-# tests/unit/test_deprecation_shims.py).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Each test starts with no process default and no env override.
-
-    Restoration of the pre-test selection is handled by the suite-wide
-    ``_kernel_selection_guard`` autouse fixture in ``tests/conftest.py``.
-    """
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    registry_module.SFP_KERNELS.set_default(None)
-    yield
+def test_each_family_has_its_fast_backend_and_the_reference():
+    assert list(SFP_KERNELS) == ["array", "reference"]
+    assert list(SCHED_KERNELS) == ["flat", "reference"]
+    for table in (SFP_KERNELS, SCHED_KERNELS):
+        for name, kernel in table.items():
+            assert kernel.name == name
 
 
-def test_both_builtin_backends_registered():
-    names = kernel_names()
-    assert "reference" in names
-    assert "array" in names
-
-
-def test_auto_prefers_the_array_backend():
-    # array has the higher priority and is always available (numpy optional).
-    assert kernel_names(available_only=True)[0] == "array"
-    assert isinstance(get_kernel(AUTO), ArrayKernel)
+def test_defaults_are_the_fast_backends():
+    assert DEFAULT_SFP_KERNEL == "array"
+    assert DEFAULT_SCHED_KERNEL == "flat"
     assert isinstance(active_kernel(), ArrayKernel)
+    assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
 
 
 def test_get_kernel_returns_singletons():
-    assert get_kernel("array") is get_kernel("array")
+    assert get_kernel("array") is SFP_KERNELS["array"]
     assert get_kernel("reference") is get_kernel("reference")
+    assert get_sched_kernel("flat") is SCHED_KERNELS["flat"]
 
 
-def test_unknown_kernel_is_a_model_error():
+@pytest.mark.parametrize("name", ["simd-on-a-toaster", "auto", "batch", ""])
+def test_unknown_kernel_is_a_model_error(name):
     with pytest.raises(ModelError, match="Unknown SFP kernel"):
-        get_kernel("simd-on-a-toaster")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    assert isinstance(active_kernel(), ReferenceKernel)
-
-
-def test_set_default_kernel_overrides_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    picked = set_default_kernel("array")
-    assert isinstance(picked, ArrayKernel)
-    assert isinstance(active_kernel(), ArrayKernel)
-    set_default_kernel(None)
-    assert isinstance(active_kernel(), ReferenceKernel)
-
-
-def test_set_default_kernel_validates_before_committing(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    with pytest.raises(ModelError):
-        set_default_kernel("no-such-backend")
-    # The failed call must not have clobbered the selection.
-    assert isinstance(active_kernel(), ReferenceKernel)
+        get_kernel(name)
+    with pytest.raises(ModelError, match="Unknown scheduler kernel"):
+        get_sched_kernel(name)
 
 
 def test_resolve_kernel_accepts_instance_name_and_none():
@@ -87,43 +61,6 @@ def test_resolve_kernel_accepts_instance_name_and_none():
     assert resolve_kernel(instance) is instance
     assert isinstance(resolve_kernel("reference"), ReferenceKernel)
     assert isinstance(resolve_kernel(None), SFPKernel)
-
-
-def test_register_rejects_duplicate_names():
-    class Impostor(SFPKernel):
-        name = "reference"
-
-    with pytest.raises(ModelError, match="already registered"):
-        registry_module.register_kernel(Impostor)
-
-
-def test_register_rejects_anonymous_and_auto_names():
-    class Nameless(SFPKernel):
-        name = ""
-
-    class TakesAuto(SFPKernel):
-        name = AUTO
-
-    with pytest.raises(ModelError):
-        registry_module.register_kernel(Nameless)
-    with pytest.raises(ModelError):
-        registry_module.register_kernel(TakesAuto)
-
-
-def test_unavailable_backend_skipped_by_auto_and_rejected_explicitly(monkeypatch):
-    class Phantom(SFPKernel):
-        name = "phantom-test-backend"
-        priority = 10_000  # would win auto selection if it were available
-
-        @classmethod
-        def is_available(cls):
-            return False
-
-    monkeypatch.setitem(registry_module.SFP_KERNELS._classes, Phantom.name, Phantom)
-    assert Phantom.name not in kernel_names(available_only=True)
-    assert get_kernel(AUTO).name != Phantom.name
-    with pytest.raises(ModelError, match="not available"):
-        get_kernel(Phantom.name)
 
 
 # ----------------------------------------------------------------------
@@ -149,64 +86,11 @@ def test_appendix_a2_anchor_values(name):
 
 
 # ----------------------------------------------------------------------
-# Scheduler kernel family: same registry machinery, ``sched`` infix.
+# Scheduler kernel family
 # ----------------------------------------------------------------------
-from repro.comm.bus import Bus, SimpleBus  # noqa: E402
-from repro.kernels import (  # noqa: E402
-    SCHED_KERNEL_ENV_VAR,
-    FlatSchedulerKernel,
-    ReferenceSchedulerKernel,
-    SchedulerKernel,
-    active_sched_kernel,
-    get_sched_kernel,
-    resolve_sched_kernel,
-    sched_kernel_names,
-    set_default_sched_kernel,
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_sched_selection(monkeypatch):
-    """Each test starts with no scheduler default and no env override."""
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
-    registry_module.SCHED_KERNELS.set_default(None)
-    yield
-
-
-def test_scheduler_backends_registered():
-    names = sched_kernel_names()
-    assert "reference" in names
-    assert "flat" in names
-
-
-def test_auto_prefers_the_flat_scheduler_backend():
-    assert sched_kernel_names(available_only=True)[0] == "flat"
-    assert isinstance(get_sched_kernel(AUTO), FlatSchedulerKernel)
-    assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-
-
-def test_sched_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-    assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
-
-
-def test_set_default_sched_kernel_overrides_env(monkeypatch):
-    monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-    picked = set_default_sched_kernel("flat")
-    assert isinstance(picked, FlatSchedulerKernel)
-    assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-    set_default_sched_kernel(None)
-    assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
-
-
-def test_unknown_sched_kernel_names_its_family():
-    with pytest.raises(ModelError, match="Unknown scheduler kernel"):
-        get_sched_kernel("gpu-on-a-toaster")
-
-
 def test_families_do_not_share_a_namespace():
     # "array" is an SFP kernel, "flat" a scheduler kernel; neither resolves
-    # in the other family even though both registries hold a "reference".
+    # in the other family even though both tables hold a "reference".
     with pytest.raises(ModelError):
         get_sched_kernel("array")
     with pytest.raises(ModelError):
@@ -220,14 +104,6 @@ def test_resolve_sched_kernel_accepts_instance_name_and_none():
     assert resolve_sched_kernel(instance) is instance
     assert isinstance(resolve_sched_kernel("reference"), ReferenceSchedulerKernel)
     assert isinstance(resolve_sched_kernel(None), SchedulerKernel)
-
-
-def test_sched_register_rejects_duplicate_names():
-    class Impostor(SchedulerKernel):
-        name = "reference"
-
-    with pytest.raises(ModelError, match="already registered"):
-        registry_module.register_sched_kernel(Impostor)
 
 
 def test_flat_kernel_falls_back_to_reference_for_unknown_bus():
@@ -318,9 +194,6 @@ def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
 # ----------------------------------------------------------------------
 # Scoped selection: use_kernel
 # ----------------------------------------------------------------------
-from repro.kernels import use_kernel  # noqa: E402
-
-
 class TestUseKernel:
     def test_scopes_both_families_and_restores(self):
         with use_kernel(sfp="reference", sched="reference") as (sfp, sched):
@@ -331,11 +204,11 @@ class TestUseKernel:
         assert isinstance(active_kernel(), ArrayKernel)
         assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
 
-    def test_none_leaves_ambient_selection_untouched(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        with use_kernel(sched="flat") as (sfp, sched):
-            assert isinstance(sfp, ReferenceKernel)  # env still decides SFP
-            assert isinstance(sched, FlatSchedulerKernel)
+    def test_none_leaves_the_current_selection_untouched(self):
+        with use_kernel(sfp="reference"):
+            with use_kernel(sched="reference") as (sfp, sched):
+                assert isinstance(sfp, ReferenceKernel)  # outer scope decides SFP
+                assert isinstance(sched, ReferenceSchedulerKernel)
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError, match="boom"):
@@ -351,14 +224,14 @@ class TestUseKernel:
                 pytest.fail("the scope body must not run")  # pragma: no cover
         assert isinstance(active_kernel(), ArrayKernel)
 
-    def test_accepts_registry_singleton_instances(self):
+    def test_accepts_table_instances(self):
         with use_kernel(sfp=get_kernel("reference")) as (sfp, _):
             assert isinstance(sfp, ReferenceKernel)
 
     def test_rejects_foreign_instances(self):
         # A separately constructed object would be silently swapped for the
-        # registry singleton of the same name; that must fail instead.
-        with pytest.raises(ModelError, match="registry-singleton"):
+        # table instance of the same name; that must fail instead.
+        with pytest.raises(ModelError, match="table instances"):
             with use_kernel(sfp=ReferenceKernel()):
                 pytest.fail("the scope body must not run")  # pragma: no cover
         assert isinstance(active_kernel(), ArrayKernel)

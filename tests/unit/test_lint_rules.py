@@ -147,20 +147,17 @@ _BASE = """
 class SFPKernel:
     name = ""
     description = ""
-    priority = 0
 
     def probability_exceeds(self, probabilities, reexecutions, threshold):
         raise NotImplementedError
 """
 
 #: Family base with the (non-abstract) batch entry point: a total scalar
-#: fallback that vectorizing backends override with an identical signature.
+#: fallback that an override must match signature for signature.
 _BATCH_BASE = """
 class SFPKernel:
     name = ""
     description = ""
-    priority = 0
-    supports_batch = False
 
     def probability_exceeds(self, probabilities, reexecutions, threshold):
         raise NotImplementedError
@@ -184,7 +181,6 @@ class TestKernelContract:
                 class GoodKernel(SFPKernel):
                     name = "good"
                     description = "conforming fixture backend"
-                    priority = 10
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -203,7 +199,6 @@ class TestKernelContract:
                 class LazyKernel(SFPKernel):
                     name = "lazy"
                     description = "misses the abstract method"
-                    priority = 10
                 """,
             }
         )
@@ -220,7 +215,6 @@ class TestKernelContract:
                 class DriftedKernel(SFPKernel):
                     name = "drifted"
                     description = "renamed a positional argument"
-                    priority = 10
 
                     def probability_exceeds(self, probs, reexecutions, threshold):
                         return 0.0
@@ -240,7 +234,6 @@ class TestKernelContract:
                 class SharedStateKernel(SFPKernel):
                     name = "shared"
                     description = "class-level scratch buffer"
-                    priority = 10
                     _scratch = []
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
@@ -251,16 +244,15 @@ class TestKernelContract:
         (violation,) = findings(project, "R002")
         assert "mutable class state" in violation.message
 
-    def test_missing_registry_attr_fires(self):
+    def test_missing_class_attr_fires(self):
         project = project_from(
             **{
                 "repro.kernels.base": _BASE,
                 "repro.kernels.custom": """
                 from repro.kernels.base import SFPKernel
 
-                class AnonymousKernel(SFPKernel):
-                    name = "anonymous"
-                    description = "priority missing"
+                class UndescribedKernel(SFPKernel):
+                    name = "undescribed"
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -268,11 +260,10 @@ class TestKernelContract:
             }
         )
         (violation,) = findings(project, "R002")
-        assert "registry attribute 'priority'" in violation.message
+        assert "must declare the attribute 'description'" in violation.message
 
-    def test_stacked_backend_inheriting_implementation_is_quiet(self):
-        """A backend stacked on another backend inherits the contract
-        implementation; only the registry attributes must be its own."""
+    def test_inherited_name_fires(self):
+        """A stacked backend must not alias its parent's table name."""
         project = project_from(
             **{
                 "repro.kernels.base": _BASE,
@@ -282,7 +273,31 @@ class TestKernelContract:
                 class GoodKernel(SFPKernel):
                     name = "good"
                     description = "conforming fixture backend"
-                    priority = 10
+
+                    def probability_exceeds(self, probabilities, reexecutions, threshold):
+                        return 0.0
+
+                class AliasKernel(GoodKernel):
+                    description = "reuses the parent's name"
+                """,
+            }
+        )
+        (violation,) = findings(project, "R002")
+        assert violation.symbol == "repro.kernels.custom.AliasKernel"
+        assert "must declare the attribute 'name'" in violation.message
+
+    def test_stacked_backend_inheriting_implementation_is_quiet(self):
+        """A backend stacked on another backend inherits the contract
+        implementation; only the name and description must be its own."""
+        project = project_from(
+            **{
+                "repro.kernels.base": _BASE,
+                "repro.kernels.custom": """
+                from repro.kernels.base import SFPKernel
+
+                class GoodKernel(SFPKernel):
+                    name = "good"
+                    description = "conforming fixture backend"
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -290,7 +305,6 @@ class TestKernelContract:
                 class StackedKernel(GoodKernel):
                     name = "stacked"
                     description = "inherits the implementation from good"
-                    priority = 5
                 """,
             }
         )
@@ -308,12 +322,10 @@ class TestKernelContract:
                 class MiddleKernel(SFPKernel):
                     name = "middle"
                     description = "no implementation anywhere"
-                    priority = 10
 
                 class LeafKernel(MiddleKernel):
                     name = "leaf"
                     description = "inherits nothing useful"
-                    priority = 5
                 """,
             }
         )
@@ -337,7 +349,6 @@ class TestKernelContract:
                 class DriftedKernel(SFPKernel):
                     name = "drifted"
                     description = "renamed a positional argument"
-                    priority = 10
 
                     def probability_exceeds(self, probs, reexecutions, threshold):
                         return 0.0
@@ -345,7 +356,6 @@ class TestKernelContract:
                 class HeirKernel(DriftedKernel):
                     name = "heir"
                     description = "inherits the drifted override"
-                    priority = 5
                 """,
             }
         )
@@ -363,8 +373,6 @@ class TestKernelContract:
                 class VectorKernel(SFPKernel):
                     name = "vector"
                     description = "specialized batch pass"
-                    priority = 5
-                    supports_batch = True
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -376,28 +384,6 @@ class TestKernelContract:
         )
         assert findings(project, "R002") == []
 
-    def test_supports_batch_without_override_fires(self):
-        project = project_from(
-            **{
-                "repro.kernels.base": _BATCH_BASE,
-                "repro.kernels.custom": """
-                from repro.kernels.base import SFPKernel
-
-                class PosingKernel(SFPKernel):
-                    name = "posing"
-                    description = "claims batching, runs the fallback"
-                    priority = 5
-                    supports_batch = True
-
-                    def probability_exceeds(self, probabilities, reexecutions, threshold):
-                        return 0.0
-                """,
-            }
-        )
-        (violation,) = findings(project, "R002")
-        assert "supports_batch = True" in violation.message
-        assert "scalar fallback batch_probability_exceeds()" in violation.message
-
     def test_batch_override_signature_drift_fires(self):
         project = project_from(
             **{
@@ -408,8 +394,6 @@ class TestKernelContract:
                 class SkewedKernel(SFPKernel):
                     name = "skewed"
                     description = "reordered the batch arguments"
-                    priority = 5
-                    supports_batch = True
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -432,7 +416,6 @@ class TestKernelContract:
                 class RefusingKernel(SFPKernel):
                     name = "refusing"
                     description = "disables the total batch fallback"
-                    priority = 5
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0

@@ -59,6 +59,7 @@ def test_submit_validates_scenario_config_and_params(tmp_path):
         {"scenario": "fig6a", "config": "not-a-dict"},
         {"scenario": "fig6a", "config": {"bogus_field": 1}},
         {"scenario": "fig6a", "config": {"preset": "no-such-preset"}},
+        {"scenario": "fig6a", "config": {"sfp_kernel": "auto"}},
         # fig6a declares no parameters, so any override is out of schema.
         {"scenario": "fig6a", "config": {"scenario_params": {"x": 1}}},
         # A family parameter outside its declared bounds.
