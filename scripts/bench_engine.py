@@ -12,10 +12,10 @@ what a second run of the same sweep saves.
 
 Writes a JSON timing artifact used by CI for trajectory tracking, and
 appends one line per run to a JSONL history file (git sha, kernel pairs,
-batch fill rate, wall clocks).  The history is the regression gate: a pair
-that runs more than ``--max-regression`` slower than the previous comparable
-entry (same benchmark, same machine/python, same local-vs-CI source) fails
-the run.  Run from the repository root:
+wall clocks).  The history is the regression gate: a pair that runs more
+than ``--max-regression`` slower than the previous comparable entry (same
+benchmark, same machine/python, same local-vs-CI source) fails the run.
+Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_engine.py --output BENCH_engine.json
 """
@@ -160,8 +160,6 @@ def _pair_entry(run: dict) -> dict:
     """The per-pair slice of one sweep run that the history series tracks."""
     return {
         "wall_clock_seconds": run["wall_clock_seconds"],
-        "batch_rows": run["cache"]["batch_rows"],
-        "batch_fill_rate": round(run["cache"]["batch_fill_rate"], 4),
     }
 
 
@@ -280,9 +278,9 @@ def main() -> int:
     # Parameterized synthetic-random family: a cold scaling curve on the
     # default pair — one run per SYNTHETIC_RANDOM_SCALE size against a
     # throwaway store (everything is computed, so the history tracks each
-    # size's end-to-end cost and batch fill rate).  The smaller sizes are
-    # also gated bit-for-bit against the reference pair; the largest point
-    # is timing-only (see SYNTHETIC_RANDOM_GATED).
+    # size's end-to-end cost, and each run must compute design points).  The
+    # smaller sizes are also gated bit-for-bit against the reference pair;
+    # the largest point is timing-only (see SYNTHETIC_RANDOM_GATED).
     synthetic_random = {}
     for n_processes in SYNTHETIC_RANDOM_SCALE:
         with tempfile.TemporaryDirectory(prefix="repro-bench-random-") as store_dir:
@@ -299,10 +297,10 @@ def main() -> int:
                     f"synthetic-random n={n_processes} default-pair design "
                     "output diverged from reference"
                 )
-        if run["cache"]["batch_cold_rows"] < 2:
+        if run["cache"]["points_computed"] <= 0:
             errors.append(
-                f"cold synthetic-random n={n_processes} run saw no "
-                "multi-row cold batch blocks"
+                f"cold synthetic-random n={n_processes} run computed no "
+                "design points"
             )
 
     # Persistent-store cold/warm pass on the default kernels.

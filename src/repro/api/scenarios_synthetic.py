@@ -86,16 +86,12 @@ def _design_counters(results: Dict[str, DesignResult]) -> Dict[str, float]:
         "misses": 0.0,
         "search_evaluations": 0.0,
         "points_computed": 0.0,
-        "batch_rows": 0.0,
-        "batch_cold_rows": 0.0,
     }
     for result in results.values():
         counters["hits"] += result.cache_hits
         counters["misses"] += result.cache_misses
         counters["search_evaluations"] += result.evaluations
         counters["points_computed"] += result.points_computed
-        counters["batch_rows"] += result.batch_rows
-        counters["batch_cold_rows"] += result.batch_cold_rows
     return counters
 
 

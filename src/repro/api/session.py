@@ -42,8 +42,8 @@ from repro.kernels.sched_base import SchedulerKernel
 _KernelScope = ContextManager[Tuple[SFPKernel, SchedulerKernel]]
 
 #: Observer invoked with one JSON-native event dict per progress step —
-#: ``scenario_started`` / ``setting_progress`` (with engine/batch cache
-#: counter snapshots per optimizer round) / ``scenario_finished``.  The
+#: ``scenario_started`` / ``setting_progress`` (with engine cache counter
+#: snapshots per optimizer round) / ``scenario_finished``.  The
 #: serve layer streams these as NDJSON; a callback must never mutate the
 #: event or raise (a raising observer aborts the run it watches).
 ProgressCallback = Callable[[Dict[str, Any]], None]
@@ -58,13 +58,10 @@ _EMPTY_CACHE_REPORT: Dict[str, float] = {
     "hit_rate": 0.0,
     "disk_hits": 0,
     "disk_entries_loaded": 0,
-    "batch_rows": 0,
-    "batch_cold_rows": 0,
-    "batch_fill_rate": 0.0,
 }
 
 #: Raw additive counters accepted by :meth:`Session.add_cache_counters`;
-#: derived rates (``hit_rate``, ``batch_fill_rate``) are recomputed on read.
+#: the derived ``hit_rate`` is recomputed on read.
 _ADDITIVE_CACHE_COUNTERS = (
     "hits",
     "misses",
@@ -72,8 +69,6 @@ _ADDITIVE_CACHE_COUNTERS = (
     "points_computed",
     "disk_hits",
     "disk_entries_loaded",
-    "batch_rows",
-    "batch_cold_rows",
 )
 
 
@@ -194,7 +189,7 @@ class Session:
 
         Scenarios that run their own :class:`EvaluationEngine` (the
         generator-backed families) rather than the shared experiment call
-        this so their cache/batch statistics still surface in the
+        this so their cache statistics still surface in the
         :class:`~repro.api.report.RunReport`.  Only the raw additive
         counters are accepted; derived rates are recomputed on read.
         """
@@ -214,9 +209,6 @@ class Session:
             report[key] = report.get(key, 0) + value
         lookups = report["hits"] + report["misses"]
         report["hit_rate"] = report["hits"] / lookups if lookups else 0.0
-        report["batch_fill_rate"] = (
-            report["batch_cold_rows"] / report["batch_rows"] if report["batch_rows"] else 0.0
-        )
         return report
 
     # ------------------------------------------------------------------

@@ -143,8 +143,6 @@ class DesignStrategy:
         hits_before = engine.stats.hits if engine is not None else 0
         misses_before = engine.stats.misses if engine is not None else 0
         computed_before = engine.evaluations if engine is not None else 0
-        batch_rows_before = engine.batch.rows if engine is not None else 0
-        batch_cold_before = engine.batch.cold_rows if engine is not None else 0
         self.mapping_algorithm.use_engine(engine)
         try:
             best, total_evaluations = self._explore(
@@ -157,12 +155,6 @@ class DesignStrategy:
         points_computed = (
             engine.evaluations - computed_before if engine is not None else 0
         )
-        batch_rows = (
-            engine.batch.rows - batch_rows_before if engine is not None else 0
-        )
-        batch_cold_rows = (
-            engine.batch.cold_rows - batch_cold_before if engine is not None else 0
-        )
 
         if best is None:
             return infeasible_result(
@@ -173,8 +165,6 @@ class DesignStrategy:
                 cache_hits=cache_hits,
                 cache_misses=cache_misses,
                 points_computed=points_computed,
-                batch_rows=batch_rows,
-                batch_cold_rows=batch_cold_rows,
             )
         return replace(
             best,
@@ -182,8 +172,6 @@ class DesignStrategy:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             points_computed=points_computed,
-            batch_rows=batch_rows,
-            batch_cold_rows=batch_cold_rows,
         )
 
     def _explore(

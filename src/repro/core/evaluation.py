@@ -52,11 +52,6 @@ class DesignResult:
     cache_hits: int = field(default=0, compare=False)
     cache_misses: int = field(default=0, compare=False)
     points_computed: int = field(default=0, compare=False)
-    #: Batched-partition counters (also excluded from equality): rows handed
-    #: to batched neighbourhood lookups, and the residual cold rows that had
-    #: to be computed.  ``batch_cold_rows / batch_rows`` is the fill rate.
-    batch_rows: int = field(default=0, compare=False)
-    batch_cold_rows: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -70,13 +65,6 @@ class DesignResult:
         if not lookups:
             return 0.0
         return self.cache_hits / lookups
-
-    @property
-    def batch_fill_rate(self) -> float:
-        """Cold fraction of batched rows (0.0 when nothing was batched)."""
-        if not self.batch_rows:
-            return 0.0
-        return self.batch_cold_rows / self.batch_rows
 
     def is_accepted(self, max_architecture_cost: Optional[float] = None) -> bool:
         """Paper acceptance criterion: reliable, schedulable, affordable."""
@@ -115,8 +103,6 @@ def infeasible_result(
     cache_hits: int = 0,
     cache_misses: int = 0,
     points_computed: int = 0,
-    batch_rows: int = 0,
-    batch_cold_rows: int = 0,
 ) -> DesignResult:
     """Convenience constructor for an infeasible design outcome."""
     return DesignResult(
@@ -128,8 +114,6 @@ def infeasible_result(
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         points_computed=points_computed,
-        batch_rows=batch_rows,
-        batch_cold_rows=batch_cold_rows,
     )
 
 

@@ -89,35 +89,24 @@ class ReExecutionOpt:
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
-        node_probabilities: Optional[Dict[str, Tuple[float, ...]]] = None,
     ) -> Optional[ReExecutionDecision]:
         """Return the cheapest re-execution assignment meeting ``rho``.
 
         Returns ``None`` when the goal cannot be met within the per-node cap
         (typically because the hardening level is too low for the error rate).
-
-        ``node_probabilities`` optionally supplies the per-node failure
-        probability tuples directly (the ordered values an
-        :class:`~repro.core.sfp.SFPAnalysis` over the same inputs would
-        derive).  The batched redundancy evaluator uses this to share the
-        base point's tuples across a hardening neighbourhood, recomputing
-        only the flipped node's tuple per sibling.
         """
         engine = self.engine
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
         # and the engine memo must reproduce the unmemoized result exactly.
-        if node_probabilities is None:
-            analysis = SFPAnalysis(
-                application, architecture, mapping, profile,
-                decimals=self.decimals, engine=engine, kernel=self.kernel,
-            )
-            probabilities: Dict[str, Tuple[float, ...]] = {
-                node.name: tuple(analysis.node_failure_probabilities(node))
-                for node in architecture
-            }
-        else:
-            probabilities = node_probabilities
+        analysis = SFPAnalysis(
+            application, architecture, mapping, profile,
+            decimals=self.decimals, engine=engine, kernel=self.kernel,
+        )
+        probabilities: Dict[str, Tuple[float, ...]] = {
+            node.name: tuple(analysis.node_failure_probabilities(node))
+            for node in architecture
+        }
 
         kernel = self.kernel
         decimals = self.decimals
@@ -204,25 +193,15 @@ class ReExecutionOpt:
     def optimize_many(
         self,
         application: Application,
-        rows: Sequence[Tuple[Architecture, Dict[str, Tuple[float, ...]]]],
+        architectures: Sequence[Architecture],
         mapping: ProcessMapping,
         profile: ExecutionProfile,
     ) -> List[Optional[ReExecutionDecision]]:
-        """Greedy assignment for a block of sibling problems.
-
-        ``rows`` pairs each candidate architecture with its per-node failure
-        probability tuples (as :meth:`optimize` would derive them); each row
-        is one :meth:`optimize` call, in row order.
-        """
+        """One :meth:`optimize` call per architecture, in order."""
+        # Kept only because the perfbench tracer patches this name.
         return [
-            self.optimize(
-                application,
-                architecture,
-                mapping,
-                profile,
-                node_probabilities=probabilities,
-            )
-            for architecture, probabilities in rows
+            self.optimize(application, architecture, mapping, profile)
+            for architecture in architectures
         ]
 
     # ------------------------------------------------------------------

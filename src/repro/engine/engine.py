@@ -36,7 +36,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 from repro.core.application import Application
 from repro.core.profile import ExecutionProfile
-from repro.engine.cache import MISS, BatchStats, CacheStats, MemoCache
+from repro.engine.cache import MISS, CacheStats, MemoCache
 from repro.engine.fingerprint import (
     context_fingerprint,
     stable_context_fingerprint,
@@ -83,9 +83,6 @@ class EvaluationEngine:
         #: Number of design points actually evaluated (decision-cache misses
         #: that ran the re-execution optimizer + scheduler).
         self.evaluations = 0
-        #: Counters of batched neighbourhood partitions (rows handed to
-        #: batched lookups vs. residual cold rows that had to be computed).
-        self.batch = BatchStats()
 
     # ------------------------------------------------------------------
     # context safety
@@ -176,16 +173,6 @@ class EvaluationEngine:
         return value
 
     # ------------------------------------------------------------------
-    def record_batch(self, rows: int, cold_rows: int) -> None:
-        """Attribute one batched partition done by a consumer layer.
-
-        The redundancy layer partitions whole *design-point* neighbourhoods
-        against the decision and optimization memos; its batch sizes and
-        fill rates land in :attr:`batch`.
-        """
-        self.batch.record(rows=rows, cold_rows=cold_rows)
-
-    # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     @property
@@ -232,7 +219,6 @@ class EvaluationEngine:
             "disk_hits": self.disk_hits,
             "kernel": self.kernel.name,
             "sched_kernel": active_sched_kernel().name,
-            "batch": self.batch.as_dict(),
             "caches": self.stats_by_cache(),
         }
 

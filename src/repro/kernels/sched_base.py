@@ -96,7 +96,8 @@ class SchedulerKernel:
         """Construct root schedules for a block of problems, one per call.
 
         Each returned schedule is the corresponding :meth:`build_schedule`
-        result, in row order.
+        result, in row order.  No DSE layer calls it; it stays as the block
+        entry point the ``perfbench`` tracer wraps by name.
         """
         return [self.build_schedule(problem) for problem in problems]
 

@@ -47,7 +47,7 @@ WORKER_GUARDS: Tuple[GuardSpec, ...] = (
         class_name="MemoCache",
         attrs=frozenset({"_store", "_preloaded"}),
         mutators=frozenset(
-            {"__init__", "get", "put", "memoize", "get_many", "load", "clear"}
+            {"__init__", "get", "put", "memoize", "load", "clear"}
         ),
     ),
     GuardSpec(

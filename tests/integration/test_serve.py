@@ -143,7 +143,7 @@ def test_fig6a_job_over_http_matches_the_golden_report(tmp_path):
         assert names[-1] == "job_done"
         progress = [event for event in events if event["event"] == "setting_progress"]
         assert progress, "no per-round progress events streamed"
-        # Each snapshot carries the engine/batch cache counters of the round.
+        # Each snapshot carries the engine cache counters of the round.
         for event in progress:
             assert {"hits", "misses", "points_computed", "completed", "total"} <= set(event)
         assert progress[-1]["completed"] == progress[-1]["total"]

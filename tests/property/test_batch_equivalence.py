@@ -28,6 +28,7 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.kernels import SCHED_KERNELS, SFP_KERNELS, get_kernel
 from repro.kernels.array_backend import MAX_FAST_DECIMALS
+from repro.kernels.sched_base import SchedulingProblem
 from repro.scheduling.list_scheduler import ListScheduler
 
 SFP_REFERENCE = get_kernel("reference")
@@ -220,6 +221,28 @@ def sched_batches(draw):
     return application, rows, profile, slack_sharing, make_bus
 
 
+def _schedule_block(scheduler, application, rows, profile):
+    """``scheduler.kernel.batch_schedule`` over ``(architecture, mapping,
+    budgets)`` rows, each budget map already total over the nodes."""
+    structure = scheduler._application_structure(application)
+    problems = []
+    for architecture, mapping, budgets in rows:
+        mapping.validate(application, architecture, profile)
+        problems.append(
+            SchedulingProblem(
+                application=application,
+                architecture=architecture,
+                mapping=mapping,
+                profile=profile,
+                budgets=dict(budgets),
+                bus=scheduler.bus,
+                slack_sharing=scheduler.slack_sharing,
+                structure=structure,
+            )
+        )
+    return scheduler.kernel.batch_schedule(problems)
+
+
 @pytest.mark.parametrize("name", ALL_SCHED)
 @given(problem=sched_batches())
 @settings(max_examples=75, deadline=None)
@@ -235,7 +258,7 @@ def test_batch_schedule_rowwise_identical(name, problem):
     scheduler = ListScheduler(
         bus=make_bus(), slack_sharing=slack_sharing, kernel=name
     )
-    produced = scheduler.schedule_batch(application, rows, profile)
+    produced = _schedule_block(scheduler, application, rows, profile)
     assert produced == expected, f"{name} batch drifted"
     for first, second in zip(produced, expected):
         assert first.length == second.length
@@ -252,7 +275,7 @@ def test_batch_then_scalar_reuse_stays_identical(name, problem):
     scheduler = ListScheduler(
         bus=make_bus(), slack_sharing=slack_sharing, kernel=name
     )
-    batched = scheduler.schedule_batch(application, rows, profile)
+    batched = _schedule_block(scheduler, application, rows, profile)
     architecture, mapping, budgets = rows[0]
     again = scheduler.schedule(application, architecture, mapping, profile, budgets)
     assert again == batched[0]
@@ -260,9 +283,4 @@ def test_batch_then_scalar_reuse_stays_identical(name, problem):
 
 @pytest.mark.parametrize("name", ALL_SCHED)
 def test_empty_sched_batch_returns_empty(name):
-    application = Application(
-        "empty", deadline=10.0, reliability_goal=0.9, recovery_overhead=0.0
-    )
-    application.new_graph("G").add_process(Process("P0", nominal_wcet=1.0))
-    scheduler = ListScheduler(kernel=name)
-    assert scheduler.schedule_batch(application, [], ExecutionProfile()) == []
+    assert ListScheduler(kernel=name).kernel.batch_schedule([]) == []

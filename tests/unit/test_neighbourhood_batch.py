@@ -1,22 +1,21 @@
-"""Neighbourhood entry points against their scalar loops, per kernel pair.
+"""Neighbourhood scoring through the scalar memo path, per kernel pair.
 
-The DSE scores whole neighbourhoods through three block entry points:
+The OPT heuristic scores one design point at a time: each +1/-1 hardening
+trial is one ``evaluate_hardening`` call (a decision-memo lookup) and each
+tabu move is one ``optimize`` call (an optimization-memo lookup).  These
+tests pin what that path counts: partial hardening vectors bypass the
+decision memo, warm and duplicate points are hits, and results and counters
+are identical across kernel pairs.
 
-* ``ReExecutionOpt.optimize_many`` — one :meth:`optimize` per row;
-* ``RedundancyOpt.evaluate_hardening_batch`` — a hardening neighbourhood
-  partitioned against the decision memo in one ``get_many`` pass;
-* ``optimize_batch`` — a mapping neighbourhood partitioned against the
-  optimization memo.
+``ReExecutionOpt.optimize_many``, ``evaluate_hardening_batch`` and
+``optimize_batch`` are plain loops over their scalar call, kept because the
+``perfbench`` tracer wraps them by name; they must return exactly what the
+scalar calls return, in order.
 
-Each must return exactly what the scalar calls return in row order, and,
-with an engine attached, leave every memo counter where the scalar loop
-leaves it; only the ``batch`` partition statistics tell the two apart.
-Every case runs under both kernel pairs: the fast default and the
-reference oracle.
-
-The fixture is the Fig. 1 application on the Fig. 4(a) two-node platform:
-its 3 x 3 hardening grid and 16 two-node mappings mix feasible, unreliable
-and unschedulable design points.
+Every case runs under both kernel pairs: the fast default and the reference
+oracle.  The fixture is the Fig. 1 application on the Fig. 4(a) two-node
+platform: its 3 x 3 hardening grid and 16 two-node mappings mix feasible,
+unreliable and unschedulable design points.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ import itertools
 import pytest
 
 from repro.core.architecture import Architecture, Node
+from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
 from repro.core.reexecution import ReExecutionOpt
-from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
 from repro.experiments.motivational import (
     fig1_application,
@@ -87,15 +86,102 @@ def _engine(application, profile):
     return EvaluationEngine(application, profile)
 
 
-def _counters(engine):
-    """Every engine counter except the batch partition statistics."""
-    report = engine.report()
-    report.pop("batch")
-    return report
+# ----------------------------------------------------------------------
+# the scalar memo path
+# ----------------------------------------------------------------------
+def test_warm_and_duplicate_trials_count_as_hits(kernel_pair, problem):
+    application, architecture, mapping, profile = problem
+    grid = _hardening_grid()
+    engine = _engine(application, profile)
+    optimizer = RedundancyOpt(engine=engine)
+    # Warm trials from an earlier pass, then duplicates within the second.
+    for trial in grid[2:5]:
+        optimizer.evaluate_hardening(application, architecture, mapping, profile, trial)
+    trials = grid[2:5] + grid + grid[:4]
+    decisions = [
+        optimizer.evaluate_hardening(application, architecture, mapping, profile, t)
+        for t in trials
+    ]
+    assert decisions == [
+        RedundancyOpt().evaluate_hardening(application, architecture, mapping, profile, t)
+        for t in trials
+    ]
+    assert {decision.is_feasible for decision in decisions} == {True, False}
+    # Each grid point is computed once; every other lookup is a hit.
+    assert engine.evaluations == engine.decisions.misses == len(grid)
+    assert engine.decisions.hits == 3 + len(trials) - len(grid)
+
+
+def test_partial_hardening_vectors_bypass_the_decision_memo(kernel_pair, problem):
+    application, architecture, mapping, profile = problem
+    engine = _engine(application, profile)
+    optimizer = RedundancyOpt(engine=engine)
+    trials = [{"N1": 3}, {"N2": 1}, {"N1": 3}]
+    memoized = [
+        optimizer.evaluate_hardening(application, architecture, mapping, profile, trial)
+        for trial in trials
+    ]
+    scalar = [
+        RedundancyOpt().evaluate_hardening(
+            application, architecture, mapping, profile, trial
+        )
+        for trial in trials
+    ]
+    assert memoized == scalar
+    assert engine.decisions.hits == engine.decisions.misses == 0
+    assert engine.evaluations == 0
+
+
+def test_every_hardening_trial_is_one_decision_lookup(kernel_pair, problem):
+    application, architecture, _, profile = problem
+    engine = _engine(application, profile)
+    calls = []
+
+    class CountingOpt(RedundancyOpt):
+        def evaluate_hardening(self, *args):
+            calls.append(args[-1])
+            return super().evaluate_hardening(*args)
+
+    optimizer = CountingOpt(engine=engine)
+    for mapping in _all_mappings():
+        optimizer.optimize(application, architecture, mapping, profile)
+    assert calls
+    assert engine.decisions.hits + engine.decisions.misses == len(calls)
+    assert engine.optimizations.misses == len(_all_mappings())
+
+
+def test_every_tabu_move_is_one_optimization_lookup(kernel_pair, problem):
+    application, architecture, _, profile = problem
+    engine = _engine(application, profile)
+    result = MappingAlgorithm(engine=engine).optimize(application, architecture, profile)
+    assert result is not None
+    assert result.evaluations > 1
+    assert (
+        engine.optimizations.hits + engine.optimizations.misses == result.evaluations
+    )
+
+
+def test_neighbourhood_results_identical_across_kernel_pairs(problem):
+    application, architecture, _, profile = problem
+    mappings = _all_mappings()
+    results = {}
+    for label, (sfp, sched) in KERNEL_PAIRS.items():
+        with use_kernel(sfp=sfp, sched=sched):
+            engine = _engine(application, profile)
+            optimizer = RedundancyOpt(engine=engine)
+            decisions = [
+                optimizer.optimize(application, architecture, mapping, profile)
+                for mapping in mappings
+            ]
+            report = engine.report()
+            assert report.pop("kernel") == sfp
+            assert report.pop("sched_kernel") == sched
+            results[label] = (decisions, report)
+    assert results["default"] == results["reference"]
 
 
 # ----------------------------------------------------------------------
-# ReExecutionOpt.optimize_many
+# the loops kept for the perfbench tracer
 # ----------------------------------------------------------------------
 #: A re-execution cap low enough that the least hardened rows miss ``rho``.
 CAP = 1
@@ -103,28 +189,19 @@ CAP = 1
 
 def test_optimize_many_equals_row_by_row_optimize(kernel_pair, problem):
     application, architecture, mapping, profile = problem
-    rows = []
-    expected = []
+    candidates = []
     for trial in _hardening_grid():
         candidate = architecture.copy()
         candidate.apply_hardening_vector(trial)
-        analysis = SFPAnalysis(application, candidate, mapping, profile)
-        probabilities = {
-            node.name: tuple(analysis.node_failure_probabilities(node))
-            for node in candidate
-        }
-        rows.append((candidate, probabilities))
-        expected.append(
-            ReExecutionOpt(max_reexecutions_per_node=CAP).optimize(
-                application, candidate, mapping, profile
-            )
-        )
+        candidates.append(candidate)
+    optimizer = ReExecutionOpt(max_reexecutions_per_node=CAP)
+    expected = [
+        optimizer.optimize(application, candidate, mapping, profile)
+        for candidate in candidates
+    ]
     assert any(decision is None for decision in expected)
     assert any(decision is not None for decision in expected)
-    produced = ReExecutionOpt(max_reexecutions_per_node=CAP).optimize_many(
-        application, rows, mapping, profile
-    )
-    assert produced == expected
+    assert optimizer.optimize_many(application, candidates, mapping, profile) == expected
 
 
 def test_optimize_many_of_no_rows_is_empty(kernel_pair, problem):
@@ -132,12 +209,9 @@ def test_optimize_many_of_no_rows_is_empty(kernel_pair, problem):
     assert ReExecutionOpt().optimize_many(application, [], mapping, profile) == []
 
 
-# ----------------------------------------------------------------------
-# evaluate_hardening_batch
-# ----------------------------------------------------------------------
 def test_evaluate_hardening_batch_equals_scalar_loop(kernel_pair, problem):
     application, architecture, mapping, profile = problem
-    trials = _hardening_grid()
+    trials = _hardening_grid() + _hardening_grid()[:3]
     batched_engine = _engine(application, profile)
     scalar_engine = _engine(application, profile)
     batched = RedundancyOpt(engine=batched_engine).evaluate_hardening_batch(
@@ -149,40 +223,7 @@ def test_evaluate_hardening_batch_equals_scalar_loop(kernel_pair, problem):
         for t in trials
     ]
     assert batched == scalar
-    assert {decision.is_feasible for decision in batched} == {True, False}
-    assert _counters(batched_engine) == _counters(scalar_engine)
-    assert batched_engine.evaluations == len(trials)
-
-
-def test_evaluate_hardening_batch_counts_warm_and_duplicate_rows(
-    kernel_pair, problem
-):
-    application, architecture, mapping, profile = problem
-    grid = _hardening_grid()
-    # Warm rows from an earlier call, then duplicates inside the block.
-    trials = grid[2:5] + grid + grid[:4]
-    batched_engine = _engine(application, profile)
-    scalar_engine = _engine(application, profile)
-    batched_opt = RedundancyOpt(engine=batched_engine)
-    scalar_opt = RedundancyOpt(engine=scalar_engine)
-    batched_opt.evaluate_hardening_batch(
-        application, architecture, mapping, profile, grid[2:5]
-    )
-    for trial in grid[2:5]:
-        scalar_opt.evaluate_hardening(application, architecture, mapping, profile, trial)
-    batched = batched_opt.evaluate_hardening_batch(
-        application, architecture, mapping, profile, trials
-    )
-    scalar = [
-        scalar_opt.evaluate_hardening(application, architecture, mapping, profile, t)
-        for t in trials
-    ]
-    assert batched == scalar
-    assert _counters(batched_engine) == _counters(scalar_engine)
-    assert batched_engine.evaluations == len(grid)
-    # The second call: every grid point not warmed by the first is cold once.
-    assert batched_engine.batch.rows == 3 + len(trials)
-    assert batched_engine.batch.cold_rows == len(grid)
+    assert batched_engine.report() == scalar_engine.report()
 
 
 def test_evaluate_hardening_batch_without_engine_equals_scalar_loop(
@@ -201,24 +242,6 @@ def test_evaluate_hardening_batch_without_engine_equals_scalar_loop(
     assert batched == scalar
 
 
-def test_partial_hardening_vectors_bypass_the_decision_memo(kernel_pair, problem):
-    application, architecture, mapping, profile = problem
-    engine = _engine(application, profile)
-    trials = [{"N1": 3}, {"N2": 1}, {"N1": 3}]
-    batched = RedundancyOpt(engine=engine).evaluate_hardening_batch(
-        application, architecture, mapping, profile, trials
-    )
-    scalar = [
-        RedundancyOpt().evaluate_hardening(
-            application, architecture, mapping, profile, trial
-        )
-        for trial in trials
-    ]
-    assert batched == scalar
-    assert engine.decisions.hits == engine.decisions.misses == 0
-    assert engine.batch.calls == 0
-
-
 def test_empty_hardening_neighbourhood(kernel_pair, problem):
     application, architecture, mapping, profile = problem
     engine = _engine(application, profile)
@@ -229,17 +252,13 @@ def test_empty_hardening_neighbourhood(kernel_pair, problem):
         == []
     )
     assert engine.evaluations == 0
-    assert engine.batch.as_dict()["rows"] == 0
 
 
-# ----------------------------------------------------------------------
-# optimize_batch
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
 def test_optimize_batch_equals_scalar_optimize(kernel_pair, problem, kind):
     application, architecture, _, profile = problem
     mappings = _all_mappings()
-    mappings += mappings[:3]  # duplicates are memo hits, as in the scalar loop
+    mappings += mappings[:3]  # duplicates are memo hits
     batched_engine = _engine(application, profile)
     scalar_engine = _engine(application, profile)
     batched = OPTIMIZERS[kind](engine=batched_engine).optimize_batch(
@@ -251,7 +270,8 @@ def test_optimize_batch_equals_scalar_optimize(kernel_pair, problem, kind):
         for mapping in mappings
     ]
     assert batched == scalar
-    assert _counters(batched_engine) == _counters(scalar_engine)
+    assert any(decision is None for decision in batched)
+    assert batched_engine.report() == scalar_engine.report()
     assert batched_engine.optimizations.misses == len(mappings) - 3
 
 
@@ -265,24 +285,6 @@ def test_optimize_batch_without_engine_equals_scalar_optimize(kind, problem):
         optimizer.optimize(application, architecture, mapping, profile)
         for mapping in mappings
     ]
-    assert any(decision is None for decision in batched)
-
-
-def test_optimize_batch_records_one_partition_per_call(problem):
-    application, architecture, _, profile = problem
-    engine = _engine(application, profile)
-    optimizer = FixedHardeningRedundancyOpt("max", engine=engine)
-    mappings = _all_mappings()
-    optimizer.optimize_batch(application, architecture, mappings, profile)
-    optimizer.optimize_batch(application, architecture, mappings[:4], profile)
-    # The fixed policy evaluates one design point per mapping and never
-    # batches internally, so only the two calls above are recorded.
-    assert engine.batch.as_dict() == {
-        "calls": 2,
-        "rows": len(mappings) + 4,
-        "cold_rows": len(mappings),
-        "fill_rate": len(mappings) / (len(mappings) + 4),
-    }
 
 
 def test_empty_mapping_neighbourhood(kernel_pair, problem):
@@ -292,29 +294,3 @@ def test_empty_mapping_neighbourhood(kernel_pair, problem):
         application, architecture, [], profile
     ) == []
     assert engine.optimizations.misses == 0
-
-
-def test_neighbourhood_results_identical_across_kernel_pairs(problem):
-    application, architecture, _, profile = problem
-    mappings = _all_mappings()
-    results = {}
-    for label, (sfp, sched) in KERNEL_PAIRS.items():
-        with use_kernel(sfp=sfp, sched=sched):
-            engine = _engine(application, profile)
-            results[label] = (
-                RedundancyOpt(engine=engine).optimize_batch(
-                    application, architecture, mappings, profile
-                ),
-                _counters(engine),
-            )
-            assert results[label][1]["kernel"] == sfp
-            assert results[label][1]["sched_kernel"] == sched
-    (default, default_counters), (reference, reference_counters) = (
-        results["default"],
-        results["reference"],
-    )
-    assert default == reference
-    for report in (default_counters, reference_counters):
-        report.pop("kernel")
-        report.pop("sched_kernel")
-    assert default_counters == reference_counters
