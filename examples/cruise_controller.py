@@ -6,10 +6,6 @@ published comparison: software-only fault tolerance (MIN) misses the 300 ms
 deadline, full hardening (MAX) works but is expensive, and the paper's OPT
 trade-off is schedulable at a fraction of the cost.
 
-The script also exports the task graph and the OPT schedule as Graphviz DOT
-files next to this script (render them with ``dot -Tpng`` if Graphviz is
-installed).
-
 Run with:
 
     python examples/cruise_controller.py
@@ -17,14 +13,11 @@ Run with:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.experiments.cruise_control import (
     cruise_controller_application,
     run_cruise_controller_study,
 )
 from repro.experiments.results import format_table
-from repro.io.dot import task_graph_to_dot
 
 
 def main() -> None:
@@ -59,10 +52,6 @@ def main() -> None:
     )
     print()
     print(f"OPT saves {study.opt_saving_vs_max * 100:.1f}% of the MAX cost (paper: ~66%)")
-
-    output = Path(__file__).with_name("cruise_controller_taskgraph.dot")
-    output.write_text(task_graph_to_dot(graph), encoding="utf-8")
-    print(f"task graph written to {output}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,7 @@
 Reproduces the reasoning behind Fig. 2 and Fig. 3 of the paper: for one
 process on one node, each additional hardening level reduces the number of
 re-executions the SFP analysis demands, but slows the processor down and
-raises its cost.  The script prints the trade-off table and additionally
-compares plain re-execution against the checkpointing policy extension (how
-much worst-case time equidistant checkpoints would save for the same fault
-count).
+raises its cost.  The script prints the trade-off table.
 
 Run with:
 
@@ -17,21 +14,15 @@ from __future__ import annotations
 
 from repro.experiments.motivational import (
     evaluate_fig3_alternatives,
-    fig3_application,
-    fig3_node_type,
     fig3_profile,
 )
 from repro.experiments.results import format_table
-from repro.policies.checkpointing import CheckpointingPlan
 
 
 def main() -> None:
-    application = fig3_application()
-    node_type = fig3_node_type()
     profile = fig3_profile()
 
     rows = []
-    checkpoint_rows = []
     for outcome in evaluate_fig3_alternatives():
         level = outcome.hardening["N1"]
         wcet = profile.wcet("P1", "N1", level)
@@ -48,37 +39,12 @@ def main() -> None:
                 "yes" if outcome.schedulable else "no",
             ]
         )
-        plan = CheckpointingPlan.optimal(
-            "P1",
-            wcet=wcet,
-            faults=k,
-            checkpoint_overhead=5.0,
-            recovery_overhead=application.recovery_overhead_of("P1"),
-        )
-        checkpoint_rows.append(
-            [
-                f"N1^{level}",
-                k,
-                plan.checkpoints,
-                f"{plan.reexecution_worst_case:.0f}",
-                f"{plan.worst_case_execution:.0f}",
-                f"{plan.saving_over_reexecution():.0f}",
-            ]
-        )
 
     print(
         format_table(
             ["h-version", "WCET (ms)", "p", "k", "worst-case SL (ms)", "cost", "schedulable"],
             rows,
             title="Hardening vs. software re-execution (the paper's Fig. 3)",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["h-version", "faults", "optimal checkpoints", "re-execution WC (ms)", "checkpointing WC (ms)", "saving (ms)"],
-            checkpoint_rows,
-            title="Extension: what equidistant checkpointing would save (chi = 5 ms)",
         )
     )
     print()

@@ -171,7 +171,7 @@ class ExecutionProfile:
         return self._version
 
     def entries(self) -> Dict[ProfileKey, ProfileEntry]:
-        """A copy of the raw table (used by serialization)."""
+        """A copy of the raw table (used by fingerprinting and the flat scheduler)."""
         return dict(self._entries)
 
     def __len__(self) -> int:

@@ -16,12 +16,12 @@ mapping and hardening.  The engine owns four memo tables:
     Outcome of a whole redundancy-optimizer run (Phase 1 + Phase 2, or a
     fixed-hardening baseline) per (optimizer signature, architecture,
     mapping).  Hits make revisited tabu-search moves free.
-``exceedance`` / ``no_fault``
-    Per-node SFP quantities keyed by the ordered tuple of per-process failure
-    probabilities (which canonically encodes node type × hardening level ×
-    mapped process multiset) plus the re-execution budget ``k``.  Changing one
-    node's hardening or moving one process only invalidates — by key
-    construction — the affected node(s).
+``exceedance``
+    Per-node formula (4) results keyed by the ordered tuple of per-process
+    failure probabilities (which canonically encodes node type × hardening
+    level × mapped process multiset) plus the re-execution budget ``k``.
+    Changing one node's hardening or moving one process only invalidates —
+    by key construction — the affected node(s).
 ``system``
     Formula (5) unions keyed by the ordered per-node exceedance tuple.
 
@@ -78,7 +78,6 @@ class EvaluationEngine:
         self.decisions = MemoCache("decisions")
         self.optimizations = MemoCache("optimizations")
         self.exceedance = MemoCache("exceedance")
-        self.no_fault = MemoCache("no_fault")
         self.system = MemoCache("system_failure")
         #: Number of design points actually evaluated (decision-cache misses
         #: that ran the re-execution optimizer + scheduler).
@@ -124,19 +123,6 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # incremental SFP layer
     # ------------------------------------------------------------------
-    def node_no_fault(
-        self, probabilities: Tuple[float, ...], decimals: int
-    ) -> float:
-        """Memoized formula (1) for one node's failure-probability tuple."""
-        cache = self.no_fault
-        key = (probabilities, decimals)
-        value = cache.get(key)
-        if value is MISS:
-            value = cache.put(
-                key, self.kernel.probability_no_fault(probabilities, decimals)
-            )
-        return value
-
     def node_exceedance(
         self, probabilities: Tuple[float, ...], reexecutions: int, decimals: int
     ) -> float:
@@ -181,7 +167,6 @@ class EvaluationEngine:
             self.decisions,
             self.optimizations,
             self.exceedance,
-            self.no_fault,
             self.system,
         )
 

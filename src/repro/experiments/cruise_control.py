@@ -19,8 +19,8 @@ reconstruction with the same size (32 processes), the same three-ECU
 architecture and a control-flow structure typical of a cruise controller
 (sensor acquisition → filtering → state estimation → control law →
 arbitration → actuation, plus diagnostics and display).  WCETs are chosen so
-the schedule pressure matches the published behaviour; see DESIGN.md for the
-substitution rationale.
+the schedule pressure matches the published behaviour.  README.md shows how
+to run the study (the ``cruise-control`` scenario).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.core.fault_model import FaultModel, HardeningModel, TechnologyModel
 from repro.core.mapping import MappingAlgorithm, Objective
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
-from repro.analysis.cost import relative_cost_saving
 
 #: Deadline and period of the cruise controller, in milliseconds.
 CC_DEADLINE = 300.0
@@ -181,7 +180,19 @@ class CruiseControlStudy:
             return 0.0
         if not (opt.schedulable and max_outcome.schedulable):
             return 0.0
-        return relative_cost_saving(opt.cost, max_outcome.cost)
+        return _relative_cost_saving(opt.cost, max_outcome.cost)
+
+
+def _relative_cost_saving(cost: float, reference_cost: float) -> float:
+    """Relative saving of ``cost`` versus ``reference_cost`` (e.g. OPT vs MAX).
+
+    Returns a fraction in ``[0, 1]``; 0 when there is no saving or the
+    reference is not positive.
+    """
+    if reference_cost <= 0.0:
+        return 0.0
+    saving = (reference_cost - cost) / reference_cost
+    return max(0.0, saving)
 
 
 def run_cruise_controller_study(

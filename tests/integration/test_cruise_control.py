@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.cruise_control import (
     CC_DEADLINE,
     CC_PROCESS_TABLE,
+    _relative_cost_saving,
     cruise_controller_application,
     cruise_controller_node_types,
     cruise_controller_profile,
@@ -90,3 +91,10 @@ class TestCruiseControllerStudy:
         levels = set(study.outcomes["OPT"].hardening.values())
         assert max(levels) < 5
         assert sum(study.outcomes["OPT"].reexecutions.values()) >= 1
+
+
+def test_relative_cost_saving():
+    assert _relative_cost_saving(17.0, 50.0) == pytest.approx(0.66)
+    assert _relative_cost_saving(50.0, 50.0) == 0.0
+    assert _relative_cost_saving(60.0, 50.0) == 0.0
+    assert _relative_cost_saving(10.0, 0.0) == 0.0

@@ -8,7 +8,6 @@ from repro.core.architecture import Architecture, Node, linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
 from repro.core.sfp import (
     probability_exceeds,
-    probability_no_fault,
     system_failure_probability,
 )
 from repro.engine import EvaluationEngine, MISS, MemoCache
@@ -113,9 +112,6 @@ class TestEvaluationEngine:
             assert engine.node_exceedance(
                 probabilities, reexecutions, 11
             ) == probability_exceeds(probabilities, reexecutions, 11)
-        assert engine.node_no_fault(probabilities, 11) == probability_no_fault(
-            probabilities, 11
-        )
         exceedances = (1.0e-9, 2.0e-9)
         assert engine.system_failure(exceedances, 11) == system_failure_probability(
             exceedances, 11
@@ -138,7 +134,6 @@ class TestEvaluationEngine:
             "decisions",
             "optimizations",
             "exceedance",
-            "no_fault",
             "system_failure",
         }
 

@@ -70,7 +70,7 @@ def test_only_the_optimizations_table_is_persisted(tmp_path, context):
     warm = EvaluationEngine(*context)
     DesignPointStore(tmp_path).warm(warm)
     assert len(warm.optimizations) == len(engine.optimizations)
-    for cache in (warm.decisions, warm.exceedance, warm.no_fault, warm.system):
+    for cache in (warm.decisions, warm.exceedance, warm.system):
         assert len(cache) == 0
 
 
