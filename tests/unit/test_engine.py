@@ -84,6 +84,81 @@ class TestMemoCache:
         assert cache.memoize("k", compute) is None
         assert calls == [1]
 
+    def test_memoize_computes_once_and_counts_the_lookups(self):
+        cache = MemoCache("test")
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return 7
+
+        assert [cache.memoize("k", compute) for _ in range(3)] == [7, 7, 7]
+        assert calls == [1]
+        assert (cache.hits, cache.misses, cache.new_entries) == (2, 1, 1)
+
+    def test_load_inserts_without_counting_and_keeps_present_values(self):
+        cache = MemoCache("test")
+        cache.put("fresh", "memory")
+        inserted = cache.load({"fresh": "disk", "a": 1, "b": None})
+        assert inserted == 2
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.get("fresh") == "memory"
+        assert len(cache) == 3
+        assert "b" in cache
+
+    def test_disk_hits_count_only_preloaded_keys(self):
+        cache = MemoCache("test")
+        cache.load({"disk": 1})
+        cache.put("memory", 2)
+        cache.get("disk")
+        cache.get("disk")
+        cache.get("memory")
+        cache.get("absent")
+        assert (cache.hits, cache.misses, cache.disk_hits) == (3, 1, 2)
+
+    def test_new_entries_counts_puts_since_the_last_persist(self):
+        cache = MemoCache("test")
+        cache.load({"disk": 1})
+        assert cache.new_entries == 0
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.new_entries == 2
+        cache.mark_persisted()
+        assert cache.new_entries == 0
+        cache.put("c", 3)
+        assert cache.new_entries == 1
+
+    def test_snapshot_is_a_copy(self):
+        cache = MemoCache("test")
+        cache.put("a", 1)
+        snapshot = cache.snapshot()
+        snapshot["b"] = 2
+        assert snapshot == {"a": 1, "b": 2}
+        assert "b" not in cache
+
+    def test_clear_drops_entries_and_preload_marks_but_keeps_counters(self):
+        cache = MemoCache("test")
+        cache.load({"k": 1})
+        cache.get("k")
+        cache.put("n", 2)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.new_entries == 0
+        assert (cache.hits, cache.disk_hits) == (1, 1)
+        cache.put("k", 3)
+        cache.get("k")
+        assert cache.disk_hits == 1
+
+    def test_stats_view_and_dict(self):
+        cache = MemoCache("test")
+        cache.get("k")
+        cache.put("k", 1)
+        cache.get("k")
+        cache.get("k")
+        assert cache.stats == CacheStats(hits=2, misses=1)
+        assert cache.stats.lookups == 3
+        assert cache.stats.as_dict() == {"hits": 2, "misses": 1, "hit_rate": 2 / 3}
+
     def test_stats_arithmetic(self):
         total = CacheStats(hits=3, misses=1) + CacheStats(hits=1, misses=3)
         assert total.hits == 4

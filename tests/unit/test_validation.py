@@ -23,6 +23,10 @@ class TestRequirePositive:
         with pytest.raises(ValueError, match="deadline"):
             require_positive(-1.0, "deadline")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be > 0"):
+            require_positive(float("nan"), "x")
+
 
 class TestRequireNonNegative:
     def test_accepts_zero(self):
@@ -51,3 +55,7 @@ class TestRequireInUnitInterval:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             require_in_unit_interval(-0.2, "p")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="within \\[0, 1\\]"):
+            require_in_unit_interval(float("nan"), "p")
